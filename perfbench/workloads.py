@@ -49,32 +49,42 @@ N_TRAIN = 2_000  # classic sketch: library defaults, h=4 kd-tree merged to 8 lea
 STREAM_HEIGHT = 6  # ingest: an unmerged 64-leaf streaming sketch ...
 STREAM_QUERIES = 2_048  # ... with 32 training queries a leaf
 STREAM_TRAIN = TrainConfig(epochs=20, batch_size=32, seed=BUILD_SEED)
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 # Traffic.
 OPEN_RATE = 500.0  # q/s, well under what a 2-core host sustains: latency, not queueing
+OPEN_SHARE = 0.75  # of a wire run: the open loop, then the closed loop for the rest
 CONNECTIONS = 2
 WINDOW = 16  # closed loop: frames in flight per connection
-MAX_QPS = 12_000  # closed-loop frames are built ahead for at most this rate
+#: Closed-loop frames are built ahead for this rate, several times what the
+#: server sustains; a run that sends them all fails its check.
+MAX_QPS = 20_000
 WARMUP_S = 0.5  # closed-loop replies before this are not counted
 SETTLE_S = 30.0  # a reply later than this counts as failed
-#: A shared host stalls now and then. Tails and throughput are medians over
-#: slices of a phase, so one stall moves one slice, not the run's figure.
-P99_SLICES = 10
-QPS_SLICE_S = 0.5
 EMB_BATCH = 1_024
 EMB_CHUNK = 4_096
-SCORED = 2_000
+SCORED = 4_000
 PARITY_ROWS = 256
 REPLAY_N = 1_000
 REPLAY_BATCHES = 50
 HOT_SET = 32
 HOT_FRACTION = 0.75
 INGEST_ROWS = 64
-INGEST_PERIOD_S = 1.25
-#: Corner widths tried for the ingest batches, widest first, until a batch
-#: dirties at most an eighth of the leaves: a localized feed, as from sensors.
-CORNER_EPS = (0.04, 0.02, 0.01, 0.005, 0.0025)
+INGEST_PERIOD_S = 5.0
+#: The shared host has noisy spells of a few seconds that slow the server
+#: and the load generator alike. The tail metric is the median over slices
+#: of the open loop this long of each slice's p99, so a spell moves the
+#: slice it falls in, not the figure; a stall the program makes at least
+#: once a slice lands in every slice. On ``ingest`` a slice holds two ingests.
+P99_SLICE_S = 2 * INGEST_PERIOD_S
+#: Fresh queries sent in batch frames of ``FILL_ROWS`` before timing, a
+#: quarter of the answer cache's default capacity: see ``run_ingest``.
+CACHE_FILL = 16_384
+FILL_ROWS = 2_048
+#: Ingested rows fall in the corner of the seed data's range this wide (a
+#: share of each attribute's range): a localized feed, as from sensors, that
+#: dirties a few of the 64 leaves.
+CORNER_EPS = 0.04
 
 WORK_DIR = ".perfbench_work"
 TRACE_DIR = ".perfbench_out"
@@ -82,7 +92,7 @@ TRACE_DIR = ".perfbench_out"
 E2E_UNITS = {
     "setup_s": "s",
     "query_p50_s": "s",
-    "query_p99_s": "s",
+    "query_p99_slice_median_s": "s",
     "query_qps": "q/s",
     "nmae": "ratio",
     "server_rss_bytes": "B",
@@ -113,6 +123,7 @@ LAYER_UNITS = {
     "server.requests": "count",
     "server.errors": "count",
     "wire.unattributed_s": "s",
+    "wire.query_p99_s": "s",
     "wire.ingest_p50_s": "s",
     "stream.apply_s": "s",
     "stream.retrain_s": "s",
@@ -357,12 +368,13 @@ class Load:
 
 
 def drive(run: Run, address, wire, frames, n_open: int, ingest_frames=()) -> Load:
-    """An open loop over ``frames[:n_open]`` at ``OPEN_RATE`` (half the
-    run), then a closed loop over the rest (the other half).
+    """An open loop over ``frames[:n_open]`` at ``OPEN_RATE``, then a
+    closed loop over the rest for the run's remaining ``1 - OPEN_SHARE``.
 
-    Without ingest frames the reads alternate over both connections; with
-    them, connection 1 reads and connection 2 sends the ingests on their own
-    schedule across both phases.
+    Without ingest frames the open-loop reads alternate over both
+    connections; with them, connection 1 reads and connection 2 sends the
+    ingests on their own schedule, all due within the open loop. The closed
+    loop reads on both connections.
     """
     n_ing = len(ingest_frames)
     load = Load(
@@ -372,7 +384,7 @@ def drive(run: Run, address, wire, frames, n_open: int, ingest_frames=()) -> Loa
 
     async def main() -> None:
         conns = await loadgen.connect(*address, wire, CONNECTIONS)
-        readers = conns[:1] if n_ing else conns
+        open_readers = conns[:1] if n_ing else conns
         try:
             t0 = perf() + 0.05
             load.due[:] = [t0 + i / OPEN_RATE for i in range(n_open)]
@@ -384,17 +396,17 @@ def drive(run: Run, address, wire, frames, n_open: int, ingest_frames=()) -> Loa
             )
             with run.tracer.span("phase.open") as open_phase:
                 await loadgen.open_loop(
-                    [readers[i % len(readers)] for i in range(n_open)],
+                    [open_readers[i % len(open_readers)] for i in range(n_open)],
                     frames[:n_open], load.due, load.sent,
                 )
-                settled = await loadgen.settle(readers, SETTLE_S)
+                await writes
+                settled = await loadgen.settle(conns, SETTLE_S)
             with run.tracer.span("phase.closed") as closed_phase:
                 n_closed, start, end = await loadgen.closed_loop(
-                    readers, frames[n_open:], WINDOW, run.seconds / 2, load.closed_sent
+                    conns, frames[n_open:], WINDOW, run.seconds * (1 - OPEN_SHARE),
+                    load.closed_sent,
                 )
-                settled = await loadgen.settle(readers, SETTLE_S) and settled
-            await writes
-            load.settled = await loadgen.settle(conns, SETTLE_S) and settled
+                load.settled = await loadgen.settle(conns, SETTLE_S) and settled
             load.n_closed, load.window = n_closed, (start + WARMUP_S, end)
             load.phases = (open_phase.index, closed_phase.index)
         finally:
@@ -405,37 +417,43 @@ def drive(run: Run, address, wire, frames, n_open: int, ingest_frames=()) -> Loa
     return load
 
 
-def sliced_p99(samples: list, slices: int = P99_SLICES) -> float:
-    """Median of the p99s of ``slices`` consecutive slices."""
-    return median([pct(part, 99) for part in np.array_split(np.asarray(samples), slices)])
+def slice_p99(samples: list, seconds: float) -> float:
+    """Median over consecutive ``P99_SLICE_S`` slices of each slice's p99,
+    for samples spread evenly over a phase ``seconds`` long."""
+    n = max(1, int(round(seconds / P99_SLICE_S)))
+    return median([pct(part, 99) for part in np.array_split(np.asarray(samples), n)])
 
 
-def wire_e2e(wire, load: Load, n_open: int, slice_s: float = QPS_SLICE_S) -> tuple[list, float]:
+def wire_e2e(wire, load: Load, n_open: int) -> tuple[list, float]:
     """Open-loop latencies (from each frame's due time) and the closed
-    loop's answered queries per second after its warm-up (the median over
-    ``slice_s`` slices)."""
+    loop's answered queries per second after its warm-up."""
     lat = [wire.recv[i] - load.due[i] for i in range(n_open) if wire.ok[i]]
     lo, hi = load.window
-    answered = [wire.recv[i] for i in range(n_open, n_open + load.n_closed) if wire.ok[i]]
-    counts, _ = np.histogram(answered, bins=np.arange(lo, hi, slice_s))
-    return lat, median(counts) / slice_s
+    answered = sum(
+        1 for i in range(n_open, n_open + load.n_closed) if wire.ok[i] and lo <= wire.recv[i] < hi
+    )
+    return lat, answered / (hi - lo)
 
 
-def stats_layers(stats: dict) -> dict:
-    """Per-layer counters from the server's ``stats`` frame."""
-    batcher, cache = stats["batcher"], stats.get("cache") or {}
-    server, engine = stats.get("server", {}), stats.get("engine", {})
-    flushes = batcher["n_flushes"]
-    lookups = cache.get("hits", 0) + cache.get("misses", 0)
+def stats_layers(stats: dict, before: dict) -> dict:
+    """Per-layer counters from the server's ``stats`` frame: what was added
+    since the ``before`` frame (``{}`` for a fresh server)."""
+
+    def added(section: str, key: str) -> float:
+        return (stats.get(section) or {}).get(key, 0) - (before.get(section) or {}).get(key, 0)
+
+    flushes = added("batcher", "n_flushes")
+    hits = added("cache", "hits")
+    lookups = hits + added("cache", "misses")
     return {
         "batching.flushes": flushes,
-        "batching.rows_per_flush": batcher["n_rows_flushed"] / flushes if flushes else 0.0,
-        "batching.errors": batcher["n_errors"],
-        "cache.hit_rate": cache.get("hits", 0) / lookups if lookups else 0.0,
-        "cache.invalidations": cache.get("invalidations", 0),
-        "server.requests": server.get("requests", 0),
-        "server.errors": server.get("errors", 0),
-        "core.warm_hit_rate": engine.get("warm_hit_rate", 0.0),
+        "batching.rows_per_flush": added("batcher", "n_rows_flushed") / flushes if flushes else 0.0,
+        "batching.errors": added("batcher", "n_errors"),
+        "cache.hit_rate": hits / lookups if lookups else 0.0,
+        "cache.invalidations": added("cache", "invalidations"),
+        "server.requests": added("server", "requests"),
+        "server.errors": added("server", "errors"),
+        "core.warm_hit_rate": stats.get("engine", {}).get("warm_hit_rate", 0.0),
     }
 
 
@@ -599,7 +617,7 @@ def run_embedded(run: Run) -> Outcome:
     e2e = {
         "setup_s": setup_s,
         "query_p50_s": median(one_s),
-        "query_p99_s": sliced_p99(one_s),
+        "query_p99_slice_median_s": slice_p99(one_s, half),
         "query_qps": EMB_BATCH / median(batch_s),
         "nmae": nmae,
         "server_rss_bytes": rss,
@@ -614,20 +632,22 @@ def run_point(run: Run) -> Outcome:
     tr = run.tracer
     local = CompiledSketch.load_npz(built.path, dtype=built.flags["infer_dtype"])
     gen = WorkloadGenerator(built.qf, seed=run.rng(0))
-    n_open = int(OPEN_RATE * run.seconds / 2)
-    Q = gen.sample(n_open + int(MAX_QPS * run.seconds / 2))
+    open_s = run.seconds * OPEN_SHARE
+    n_open = int(OPEN_RATE * open_s)
+    Q = gen.sample(n_open + int(MAX_QPS * (run.seconds - open_s)))
     frames = query_frames(Q, 0)
     scored = run.rng(1).choice(n_open, size=min(SCORED, n_open), replace=False).tolist()
     wire = loadgen.Wire(len(frames), keep=scored)
     load = drive(run, built.address, wire, frames, n_open)
     n_sent = n_open + load.n_closed
     failed = wire.orphans + sum(1 for i in range(n_sent) if not wire.ok[i])
+    closed_frames_left = n_sent < len(frames)
 
     Q_parity = gen.sample(PARITY_ROWS)
     with tr.span("check.server"):
         with Client.connect(built.address) as client:
-            served = client.ask_many(Q_parity)
             stats = client.stats()
+            served = client.ask_many(Q_parity)
         rss = peak_rss_bytes(built.server.proc.pid)
         built.server.stop()
     ids, answers = scored_answers(wire, scored)
@@ -636,6 +656,7 @@ def run_point(run: Run) -> Outcome:
     nmae = normalized_mae(answers, exact)
     checks = {
         "all_replies_in_time": load.settled,
+        "closed_loop_frames_left": closed_frames_left,
         "batch_frame_bitwise_equals_local_predict":
             served.tobytes() == local.predict(Q_parity).tobytes(),
         "nmae_beats_uniform": nmae < uniform_answer_error(built.y_train, exact),
@@ -644,7 +665,7 @@ def run_point(run: Run) -> Outcome:
     e2e = {
         "setup_s": setup_s,
         "query_p50_s": median(lat),
-        "query_p99_s": sliced_p99(lat),
+        "query_p99_slice_median_s": slice_p99(lat, open_s),
         "query_qps": qps,
         "nmae": nmae,
         "server_rss_bytes": rss,
@@ -652,7 +673,8 @@ def run_point(run: Run) -> Outcome:
     }
     layers = {
         **stages,
-        **stats_layers(stats),
+        **stats_layers(stats, {}),
+        "wire.query_p99_s": pct(lat, 99),
         "loadgen.lag_p99_s": pct([s - d for s, d in zip(load.sent, load.due)], 99),
         "loadgen.sent": n_sent,
         "loadgen.answered": n_sent - failed,
@@ -666,32 +688,22 @@ def run_point(run: Run) -> Outcome:
     return Outcome(e2e, layers, n_sent + 2, failed, checks, built.flags)
 
 
-def corner_width(sketch: StreamingSketch) -> float:
-    """Widest ``CORNER_EPS`` whose corner rows dirty at most 1/8 of the leaves."""
-    probe = np.random.default_rng(BUILD_SEED).random((INGEST_ROWS, sketch.store.dim))
-    for eps in CORNER_EPS:
-        rows = sketch.store.scaler.inverse_transform(probe * eps)
-        if sketch.preview_dirty(rows).size * 8 <= sketch.n_leaves:
-            return eps
-    return CORNER_EPS[-1]
-
-
 def run_ingest(run: Run) -> Outcome:
     """Reads beside localized appends against ``repro serve --mutable``."""
     built, setup_s, stages = build_repeated(run, setup_stream)
     sketch, tr = built.sketch, run.tracer
     gen = WorkloadGenerator(built.qf, seed=run.rng(0))
     rows_rng = run.rng(2)
-    eps = corner_width(sketch)
-    n_ing = int(round(run.seconds / INGEST_PERIOD_S))
+    open_s = run.seconds * OPEN_SHARE
+    n_ing = int(open_s / INGEST_PERIOD_S)
     batches = [
         sketch.store.scaler.inverse_transform(
-            rows_rng.random((INGEST_ROWS, sketch.store.dim)) * eps
+            rows_rng.random((INGEST_ROWS, sketch.store.dim)) * CORNER_EPS
         )
         for _ in range(n_ing)
     ]
-    n_open = int(OPEN_RATE * run.seconds / 2)
-    n_reads = n_open + int(MAX_QPS * run.seconds / 2)
+    n_open = int(OPEN_RATE * open_s)
+    n_reads = n_open + int(MAX_QPS * (run.seconds - open_s))
     hot = gen.sample(HOT_SET)
     Q = gen.sample(n_reads)
     is_hot = rows_rng.random(n_reads) < HOT_FRACTION
@@ -706,10 +718,24 @@ def run_ingest(run: Run) -> Outcome:
     fresh = np.flatnonzero(~is_hot[:n_open])
     scored = run.rng(1).choice(fresh, size=min(SCORED, fresh.size), replace=False).tolist()
     wire = loadgen.Wire(n_reads + n_ing, keep=scored + ingest_ids)
+    # A long-running server's answer cache is not empty, and every ingest
+    # scans all of it for entries in the dirty regions. Filled before timing,
+    # the scan starts at the same size on every run, long enough that the
+    # read tail is made by it rather than by thread hand-offs, and short
+    # enough that ingests stall about a tenth of the reads, so p50 remains
+    # an unstalled read.
+    with tr.span("warm.cache"):
+        with Client.connect(built.address) as client:
+            fill = np.array_split(gen.sample(CACHE_FILL), CACHE_FILL // FILL_ROWS)
+            for block in fill:
+                client.ask_many(block)
+            before = client.stats()
     load = drive(run, built.address, wire, frames, n_open, ingest_frames)
     n_sent = n_open + load.n_closed
     sent_ids = list(range(n_sent)) + ingest_ids
     failed = wire.orphans + sum(1 for i in sent_ids if not wire.ok[i])
+    closed_frames_left = n_sent < n_reads
+    ingest_lat = [wire.recv[i] - d for i, d in zip(ingest_ids, load.ingest_due) if wire.ok[i]]
     summaries = [json.loads(wire.kept[i])["ingest"] for i in ingest_ids if wire.ok[i]]
 
     # The twin replays the same appends with retraining gated off, so apply
@@ -732,9 +758,9 @@ def run_ingest(run: Run) -> Outcome:
     Q_parity = gen.sample(PARITY_ROWS)
     with tr.span("check.server"):
         with Client.connect(built.address) as client:
+            stats = client.stats()
             served = client.ask_many(Q_parity)
             epoch = client.epoch()
-            stats = client.stats()
         rss = peak_rss_bytes(built.server.proc.pid)
         built.server.stop()
     ids, answers = scored_answers(wire, scored)
@@ -744,21 +770,22 @@ def run_ingest(run: Run) -> Outcome:
     nmae = normalized_mae(answers, exact)
     checks = {
         "all_replies_in_time": load.settled,
+        "closed_loop_frames_left": closed_frames_left,
         "every_ingest_applied": len(summaries) == n_ing,
+        # Each ingest is answered before the next is due: they never queue.
+        "ingests_do_not_queue": max(ingest_lat, default=INGEST_PERIOD_S) < INGEST_PERIOD_S,
         "served_epoch_equals_twin": epoch == (twin.epoch, twin.data_version),
         "batch_frame_bitwise_equals_twin":
             served.tobytes() == twin.predict(Q_parity).tobytes(),
-        "nmae_finite": bool(np.isfinite(nmae)),
+        # The baseline answers the mean of the live training labels.
+        "nmae_beats_uniform": nmae < uniform_answer_error(twin.y_train, exact),
     }
-    # Slices one ingest period long each hold exactly one ingest, so every
-    # slice's tail has the same make-up.
-    lat, qps = wire_e2e(wire, load, n_open, INGEST_PERIOD_S)
-    ingest_lat = [wire.recv[i] - d for i, d in zip(ingest_ids, load.ingest_due) if wire.ok[i]]
+    lat, qps = wire_e2e(wire, load, n_open)
     lags = [s - d for s, d in zip(load.sent + load.ingest_sent, load.due + load.ingest_due)]
     e2e = {
         "setup_s": setup_s,
         "query_p50_s": median(lat),
-        "query_p99_s": sliced_p99(lat, max(1, round(run.seconds / 2 / INGEST_PERIOD_S))),
+        "query_p99_slice_median_s": slice_p99(lat, open_s),
         "query_qps": qps,
         "nmae": nmae,
         "server_rss_bytes": rss,
@@ -766,7 +793,8 @@ def run_ingest(run: Run) -> Outcome:
     }
     layers = {
         **stages,
-        **stats_layers(stats),
+        **stats_layers(stats, before),
+        "wire.query_p99_s": pct(lat, 99),
         "wire.ingest_p50_s": median(ingest_lat),
         "stream.apply_s": median(apply_s),
         "stream.retrain_s": median(retrain_s),
@@ -787,7 +815,8 @@ def run_ingest(run: Run) -> Outcome:
             run, twin.engine(), Q[:n_sent], frames, answers, built.flags,
             layers["batching.rows_per_flush"], e2e["query_p50_s"],
         ))
-    return Outcome(e2e, layers, len(sent_ids) + 3, failed, checks, built.flags)
+    attempted = len(sent_ids) + len(fill) + 4  # + stats x2, parity, epoch
+    return Outcome(e2e, layers, attempted, failed, checks, built.flags)
 
 
 WORKLOADS = {"embedded": run_embedded, "point": run_point, "ingest": run_ingest}
