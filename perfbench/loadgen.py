@@ -19,13 +19,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import selectors
 
 from spans import perf
 
-#: The event loop's timers round up to whole milliseconds, so a sender
-#: sleeps until this long before a frame is due and spins for the rest,
-#: yielding to the receive callbacks on every turn.
-SPIN_S = 0.0011
+
+def run(coro):
+    """Run ``coro`` on an event loop whose timers are exact to the
+    microsecond. The default epoll selector rounds every wait up to a whole
+    millisecond, so an open loop would either send up to 1 ms late or spin
+    until each frame is due; a spinning generator takes a core from the
+    server it measures and makes the host's scheduler count this machine as
+    busy. ``select`` takes its timeout in microseconds, and a run watches
+    only a few sockets."""
+    with asyncio.Runner(
+        loop_factory=lambda: asyncio.SelectorEventLoop(selectors.SelectSelector())
+    ) as runner:
+        return runner.run(coro)
 
 
 def parse_reply(line: bytes) -> tuple[bool, object]:
@@ -120,28 +130,28 @@ async def open_loop(
     i, n = 0, len(frames)
     while i < n:
         wait = due[i] - perf()
-        if wait > SPIN_S:
-            await asyncio.sleep(wait - SPIN_S)
-        elif wait > 0:
-            await asyncio.sleep(0)
-        else:
-            now = perf()
-            while i < n and due[i] <= now:
-                conns[i].send(frames[i])
-                sent[i] = now
-                i += 1
+        if wait > 0:
+            await asyncio.sleep(wait)
+        now = perf()
+        while i < n and due[i] <= now:
+            conns[i].send(frames[i])
+            sent[i] = now
+            i += 1
 
 
 async def closed_loop(
-    conns: list[Conn], frames: list[bytes], window: int, seconds: float, sent: list[float]
+    conns: list[Conn], frames: list[bytes], first: int, window: int, seconds: float,
+    sent: list[float],
 ) -> tuple[int, float, float]:
-    """Keep ``window`` frames in flight on each connection for ``seconds``.
+    """Keep ``window`` frames in flight on each connection for ``seconds``,
+    sending ``frames`` from index ``first`` on.
 
-    Returns ``(frames sent, start, end)``; ``sent[j]`` stamps frame ``j``.
+    Returns ``(index of the next unsent frame, start, end)``; ``sent[j]``
+    stamps frame ``j``.
     """
     targets = set(conns)
     n = len(frames)
-    nxt = 0
+    nxt = first
     start = perf()
     end = start + seconds
 

@@ -48,6 +48,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sys.path.insert(0, src)
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    # A shell starts background jobs with SIGINT ignored, and a child
+    # inherits that; the servers this run starts must stop on SIGINT. A
+    # handled signal is reset to its default in the child.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     if args.workload == "embedded":
         # Library use in one thread: BLAS too, so a neighbour on the other
         # core does not stall every matmul. Set before numpy loads; this

@@ -126,6 +126,15 @@ def peak_rss_bytes(pid: int | str = "self") -> int:
     raise RuntimeError(f"no VmHWM in /proc/{pid}/status")
 
 
+def cpu_ticks() -> tuple[int, int]:
+    """``(steal, total)`` jiffies of all CPUs since boot, from ``/proc/stat``;
+    steal is time a virtual CPU was ready but the host ran something else."""
+    with open("/proc/stat") as fh:
+        fields = [int(v) for v in fh.readline().split()[1:]]
+    # guest time (fields 8-9) is already counted in user and nice
+    return fields[7], sum(fields[:8])
+
+
 def host_info() -> dict:
     """Where a result was measured: core count, CPU model and the
     library's own numpy/BLAS/platform provenance."""
