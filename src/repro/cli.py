@@ -161,8 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batch size flush trigger: an integer, or "
                             "'auto' to derive it from the engine's observed "
                             "segment-size distribution")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch deadline flush trigger, milliseconds")
+    serve.add_argument("--max-delay-ms", type=float, default=0.0,
+                       help="longest a flush worker holds queries back waiting "
+                            "for --max-batch of them, milliseconds (default 0: "
+                            "a free worker flushes everything pending, so "
+                            "batches form only while workers are busy)")
     serve.add_argument("--max-line-bytes", type=int, default=None,
                        help="per-request line size bound (default 1 MiB)")
     serve.add_argument("--request-timeout-s", type=float, default=30.0,
@@ -344,8 +347,7 @@ def _parse_query_vector(values: list[str]) -> np.ndarray:
 
 def _stdio_loop(service, max_line_bytes: int, timeout_s: float) -> None:
     # One frame -> one response; answer_frame never raises and encode_safe
-    # never emits bare NaN JSON. The socket transport has its asyncio twin
-    # in :meth:`repro.serve.server.SketchServer._serve_frame`.
+    # never emits bare NaN JSON.
     from repro.serve import protocol
     from repro.serve.worker import answer_frame
 

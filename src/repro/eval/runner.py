@@ -471,9 +471,7 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
     n_pipeline = Q_test.shape[0] if config.fast else max(2_000, Q_test.shape[0])
     Q_pipeline = Q_test[np.arange(n_pipeline) % Q_test.shape[0]]
     n_closed = min(Q_test.shape[0], 50 if config.fast else 200)
-    # A tight flush deadline: with few outstanding requests per client the
-    # size trigger rarely fires, so the deadline is the latency floor.
-    with SketchService(cache=False, workers=min(n_clients, 8), max_delay_s=5e-4) as svc:
+    with SketchService(cache=False, workers=min(n_clients, 8)) as svc:
         svc.register("bench", served)
         handle = start_server_thread(svc)
         try:
@@ -526,7 +524,6 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
                     # of multiplying it: N processes x full thread count just
                     # thrashes the scheduler once cores are saturated.
                     "--workers", str(max(1, min(n_clients, 8) // int(n_proc))),
-                    "--max-delay-ms", "0.5",
                 )
                 handle = start_router_thread(
                     artifact, processes=int(n_proc), worker_args=worker_args

@@ -4,16 +4,19 @@ The compiled engine answers a 500-query batch in roughly the time it
 answers a handful of single queries, so a server should never run
 ``predict`` one row at a time. :class:`MicroBatcher` accumulates blocks of
 queries submitted from any thread and flushes them through one batched
-``predict`` call when either trigger fires:
+``predict`` call. A free worker thread takes everything pending at once,
+so under load batches form by themselves while the workers are busy. Two
+optional triggers let a worker wait for company first:
 
 - *size* — the pending row count reaches ``max_batch_size``;
 - *deadline* — ``max_delay_s`` has elapsed since the oldest pending block.
 
-A background worker owns the deadline trigger. Blocking callers don't have
-to wait for it: :meth:`drain` runs the flush in the calling thread, which
-is how :meth:`SketchService.ask`/``ask_many`` get batch-path throughput
-without paying the accumulation delay (the drain still picks up whatever
-other threads have queued — that *is* the micro-batch).
+The default deadline is ``0``: a query never waits for a batch that may
+not come. Blocking callers don't go through the workers at all:
+:meth:`drain` runs the flush in the calling thread, which is how
+:meth:`SketchService.ask`/``ask_many`` get batch-path throughput (the
+drain still picks up whatever other threads have queued — that *is* the
+micro-batch).
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class MicroBatcher:
         ``"auto"`` mode; errors and non-positive suggestions are ignored
         (the hint is advisory — serving never fails on a stats poll).
     max_delay_s:
-        Longest time a pending block may wait before the worker flushes it;
-        ``0`` flushes as soon as the worker wakes.
+        Longest time a worker holds a pending block back, waiting for the
+        size trigger. ``0`` (default) flushes as soon as a worker is free.
     dtype:
         Element type the assembled micro-batches are coerced to before
         ``predict`` sees them (answers are always float64). The float64
@@ -75,7 +78,7 @@ class MicroBatcher:
         self,
         predict,
         max_batch_size: int | str = 64,
-        max_delay_s: float = 2e-3,
+        max_delay_s: float = 0.0,
         dtype=np.float64,
         workers: int = 1,
         segment_hint=None,
@@ -148,7 +151,7 @@ class MicroBatcher:
                     t.start()
             self._pending.append((Q_block, fut, bool(scalar)))
             self._pending_rows += Q_block.shape[0]
-            self._cond.notify_all()
+            self._cond.notify()
         return fut
 
     def drain(self) -> int:
@@ -245,23 +248,26 @@ class MicroBatcher:
         # positional within the concatenated batch).
         live = [fut.set_running_or_notify_cancel() for _, fut, _ in batch]
         blocks = [block for block, _, _ in batch]
-        Q = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+        n_rows = sum(block.shape[0] for block in blocks)
         try:
+            # Blocks of mismatched widths fail here, inside the flush,
+            # rather than killing the worker thread.
+            Q = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
             answers = np.asarray(self._predict(Q), dtype=np.float64).ravel()
         except Exception as exc:  # propagate to every waiting Future
-            self._count_flush(Q.shape[0], failed=True)
+            self._count_flush(n_rows, failed=True)
             for ok, (_, fut, _) in zip(live, batch):
                 if ok:
                     fut.set_exception(exc)
-            return Q.shape[0]
-        self._count_flush(Q.shape[0])
+            return n_rows
+        self._count_flush(n_rows)
         start = 0
         for ok, (block, fut, scalar) in zip(live, batch):
             part = answers[start : start + block.shape[0]]
             start += block.shape[0]
             if ok:
                 fut.set_result(float(part[0]) if scalar else part)
-        return Q.shape[0]
+        return n_rows
 
     # ----------------------------------------------------------------- close
 

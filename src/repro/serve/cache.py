@@ -10,6 +10,7 @@ hit. Entries are LRU-bounded and all operations are thread-safe.
 
 from __future__ import annotations
 
+import struct
 import threading
 from collections import OrderedDict
 
@@ -17,12 +18,20 @@ import numpy as np
 
 _MISS = object()
 
-#: Quantized components must stay well inside int64 after rounding:
-#: ``astype(np.int64)`` on values beyond the representable range (or on
-#: non-finite values) wraps silently, so two distinct queries could share
-#: a key and serve each other's answers. Components past this bound (or
-#: non-finite ones) fall back to exact-bytes keys instead.
-_QUANT_LIMIT = float(2**62)
+#: Quantized components must stay well inside int64: packing a rounded
+#: component into a fixed-width key must never wrap or fail, or two
+#: distinct queries could share a key and serve each other's answers.
+#: Components past this bound (or non-finite ones) fall back to
+#: exact-bytes keys instead.
+_QUANT_LIMIT = 2**62
+
+
+def _in_any_box(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the ``(n, d)`` points inside at least one ``(k, d)`` closed box."""
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for box_lo, box_hi in zip(lo, hi):
+        inside |= np.all((points >= box_lo) & (points <= box_hi), axis=1)
+    return inside
 
 
 class AnswerCache:
@@ -70,18 +79,31 @@ class AnswerCache:
         query against different sketches has different answers, so the
         serving layer prefixes keys with the sketch name.
         """
-        q = np.asarray(q, dtype=np.float64).ravel()
-        if self.exact:
-            return namespace + b"x" + q.tobytes()
-        # Scaling may overflow to inf for extreme coordinates — that is
-        # exactly the case the fallback below catches, not an error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.round(q / self.resolution)
-        # The mode byte keeps the two key spaces disjoint: an exact-bytes
-        # fallback key can never alias a quantized key of the same length.
-        if np.all(np.isfinite(scaled)) and np.all(np.abs(scaled) < _QUANT_LIMIT):
-            return namespace + b"q" + scaled.astype(np.int64).tobytes()
-        return namespace + b"x" + q.tobytes()
+        return self._keys(np.asarray(q, dtype=np.float64).reshape(1, -1), namespace)[0]
+
+    def _keys(self, Q: np.ndarray, namespace: bytes) -> list[bytes]:
+        """The keys of the rows of an ``(m, d)`` float64 array.
+
+        Plain float arithmetic: on query-sized rows it costs about half a
+        chain of small NumPy calls, and ``round(x / resolution)`` rounds
+        half to even exactly as ``np.round`` does.
+        """
+        d = Q.shape[1]
+        as_ints, as_floats = f"={d}q", f"={d}d"
+        keys = []
+        for row in Q.tolist():
+            if not self.exact:
+                try:
+                    ints = [round(x / self.resolution) for x in row]
+                except (OverflowError, ValueError):  # an infinite or NaN component
+                    ints = None
+                if ints is not None and all(-_QUANT_LIMIT < i < _QUANT_LIMIT for i in ints):
+                    keys.append(namespace + b"q" + struct.pack(as_ints, *ints))
+                    continue
+            # The mode byte keeps the two key spaces disjoint: an exact-bytes
+            # fallback key can never alias a quantized key of the same length.
+            keys.append(namespace + b"x" + struct.pack(as_floats, *row))
+        return keys
 
     def get(self, q: np.ndarray, namespace: bytes = b"") -> float | None:
         """Cached answer, or ``None`` on a miss (counts either way)."""
@@ -96,10 +118,15 @@ class AnswerCache:
             return value
 
     def put(self, q: np.ndarray, answer: float, namespace: bytes = b"") -> None:
-        key = self.key(q, namespace)
+        self.put_many(np.reshape(q, (1, -1)), (answer,), namespace)
+
+    def put_many(self, Q: np.ndarray, answers: np.ndarray, namespace: bytes = b"") -> None:
+        """Store one answer per row of ``Q`` under a single lock hold."""
+        keys = self._keys(np.asarray(Q, dtype=np.float64), namespace)
         with self._lock:
-            self._data[key] = float(answer)
-            self._data.move_to_end(key)
+            for key, answer in zip(keys, answers):
+                self._data[key] = float(answer)
+                self._data.move_to_end(key)
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
 
@@ -142,30 +169,34 @@ class AnswerCache:
             raise ValueError(f"boxes have dim {lo.shape[1]}, expected {dim}")
         if lo.shape[0] == 0:
             return 0
-        half = 0.5 * self.resolution
-        qlo = lo - half
-        qhi = hi + half
         nslen = len(namespace)
-        itemsize = 8 * dim
+        keylen = nslen + 1 + 8 * dim
         with self._lock:
-            doomed: list[bytes] = []
-            for key in self._data:
-                if not key.startswith(namespace) or len(key) != nslen + 1 + itemsize:
-                    continue
-                mode = key[nslen : nslen + 1]
-                payload = key[nslen + 1 :]
-                if mode == b"q":
-                    q = np.frombuffer(payload, dtype=np.int64) * self.resolution
-                    if np.any(np.all((q >= qlo) & (q <= qhi), axis=1)):
-                        doomed.append(key)
-                elif mode == b"x":
-                    q = np.frombuffer(payload, dtype=np.float64)
-                    if np.any(np.all((q >= lo) & (q <= hi), axis=1)):
-                        doomed.append(key)
-            for key in doomed:
-                del self._data[key]
-            self.invalidations += len(doomed)
-            return len(doomed)
+            # One pass over the key set: same-length keys are joined into a
+            # byte matrix, so the namespace, mode and point of every key are
+            # array columns and each box is tested against all keys at once.
+            keys = [key for key in self._data if len(key) == keylen]
+            if not keys:
+                return 0
+            raw = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), keylen)
+            ours = np.all(raw[:, :nslen] == np.frombuffer(namespace, dtype=np.uint8), axis=1)
+            body = raw[:, nslen + 1 :]
+            mode = raw[:, nslen]
+            quant = ours & (mode == ord("q"))
+            exact = ours & (mode == ord("x"))
+            doomed = np.zeros(len(keys), dtype=bool)
+            # A quantized key stands for its grid cell: widen the boxes by
+            # half a step. Exact-bytes keys are points.
+            half = 0.5 * self.resolution
+            doomed[quant] = _in_any_box(
+                body[quant].view(np.int64) * self.resolution, lo - half, hi + half
+            )
+            doomed[exact] = _in_any_box(body[exact].view(np.float64), lo, hi)
+            for i in np.flatnonzero(doomed):
+                del self._data[keys[i]]
+            evicted = int(doomed.sum())
+            self.invalidations += evicted
+            return evicted
 
     def stats(self) -> dict:
         with self._lock:

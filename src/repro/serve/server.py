@@ -1,26 +1,32 @@
 """`SketchServer`: the asyncio socket front-end over `SketchService`.
 
 Many concurrent clients, one process, one engine. Each connection speaks
-the newline-delimited protocol of :mod:`repro.serve.protocol`; every frame
-becomes its own asyncio task, so a connection can pipeline requests and a
-slow batch never blocks the single queries behind it. Single queries go
-through :meth:`SketchService.submit` — the micro-batcher merges whatever
-arrives within the flush window into one compiled ``predict`` — and
-blocking batch/stats work runs on a small thread pool. Under load the
-service's flush workers check execution contexts out of the engine's
-replica pool (:mod:`repro.core.compiled`), so concurrent flushes run
-genuinely in parallel instead of queueing on a lock.
+the newline-delimited protocol of :mod:`repro.serve.protocol` and may
+pipeline requests. The read loop decodes every frame inline. A
+single-query frame is answered right there on an answer-cache hit; on a
+miss it joins its sketch's block for the current event-loop iteration,
+and at the end of the iteration each block goes to the sketch's
+micro-batcher in one :meth:`SketchService.submit_block`. When a block
+resolves, one thread-safe callback writes all of its replies, and one
+timer per block enforces the request deadline. The batcher's flush
+workers take whatever is queued when they come free, checking execution
+contexts out of the engine's replica pool (:mod:`repro.core.compiled`),
+so concurrent flushes run in parallel instead of queueing on a lock.
+Every other frame type (batch, stats, epoch, ingest) becomes its own
+asyncio task over a small thread pool, so a slow batch never blocks the
+single queries behind it.
 
 Robustness contract (exercised by ``tests/test_server.py``):
 
 - a malformed or oversized line yields one :class:`ErrorResponse` and the
   connection stays alive;
 - reads are bounded — a line beyond the hard stream limit is discarded
-  without buffering it;
+  without buffering it — and so are unsent replies: past
+  ``WRITE_BUFFER_BOUND`` bytes the read loop waits for the client to read;
 - every request has a deadline (``request_timeout_s``) and times out into
   a ``timeout`` error instead of wedging the connection;
 - :meth:`stop` with ``drain=True`` answers everything in flight before
-  closing — no Future is dropped.
+  closing — no request is dropped.
 
 :func:`start_server_thread` runs the whole loop in a daemon thread and
 returns a handle with ``.address`` / ``.stop()``, which is how the CLI,
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,7 +58,30 @@ from repro.serve.protocol import (
     StatsRequest,
     StatsResponse,
 )
-from repro.serve.service import ImmutableSketchError, SketchService
+from repro.serve.service import SketchService, error_response
+
+#: Unsent reply bytes a connection may buffer before its read loop stops
+#: reading and waits for the client to drain them, so a client that
+#: pipelines without reading cannot grow server memory.
+WRITE_BUFFER_BOUND = 1 << 16
+
+
+class _Block:
+    """The single-query misses for one sketch in one loop iteration.
+
+    ``done`` resolves once every waiter has its reply (answer or error);
+    connections and :meth:`SketchServer.stop` await it.
+    """
+
+    __slots__ = ("sketch", "rows", "waiters", "done", "future", "timer")
+
+    def __init__(self, sketch: str | None, done: asyncio.Future) -> None:
+        self.sketch = sketch
+        self.rows: list[np.ndarray] = []
+        self.waiters: list[tuple[asyncio.StreamWriter, QueryRequest]] = []
+        self.done = done
+        self.future: Future | None = None
+        self.timer: asyncio.TimerHandle | None = None
 
 
 class SketchServer:
@@ -95,13 +124,17 @@ class SketchServer:
         self.request_timeout_s = float(request_timeout_s)
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, getattr(service, "workers", 1) + 1),
             thread_name_prefix="repro-serve",
         )
         self._writers: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
-        self._inflight: set[asyncio.Task] = set()
+        # Request tasks and block ``done`` futures not yet answered.
+        self._inflight: set[asyncio.Future] = set()
+        # This iteration's blocks, by (sketch name, query width).
+        self._blocks: dict[tuple[str | None, int], _Block] = {}
         self._draining = False
         self._stopped = False
         # Counters (loop thread only; surfaced under stats()["server"]).
@@ -115,6 +148,7 @@ class SketchServer:
         """Bind and start accepting connections (call once, on the loop)."""
         if self._server is not None:
             raise RuntimeError("server already started")
+        self._loop = asyncio.get_running_loop()
         # Stream limit sits above the frame bound so a line slightly over
         # max_line_bytes still arrives whole and gets a proper per-frame
         # `oversized` error; only grossly-over lines hit the discard path.
@@ -130,10 +164,9 @@ class SketchServer:
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting, settle in-flight work, close connections.
 
-        ``drain=True`` (default) awaits every in-flight request task so
-        each pending Future resolves and its response line is written —
-        nothing submitted before the stop is dropped. ``drain=False``
-        cancels them instead.
+        ``drain=True`` (default) waits until every request accepted before
+        the stop has its reply written — nothing is dropped.
+        ``drain=False`` cancels them instead.
         """
         if self._stopped:
             return
@@ -142,14 +175,11 @@ class SketchServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if drain:
-            while self._inflight:
-                await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        else:
-            for task in list(self._inflight):
-                task.cancel()
-            if self._inflight:
-                await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        if not drain:
+            for pending in list(self._inflight):
+                pending.cancel()
+        while self._inflight:
+            await asyncio.gather(*list(self._inflight), return_exceptions=True)
         for writer in list(self._writers):
             writer.close()
         if self._conn_tasks:
@@ -177,8 +207,7 @@ class SketchServer:
             self._conn_tasks.add(task)
         self._writers.add(writer)
         self.n_connections += 1
-        write_lock = asyncio.Lock()
-        frame_tasks: set[asyncio.Task] = set()
+        owed: set[asyncio.Future] = set()  # this connection's unanswered work
         try:
             while True:
                 try:
@@ -189,10 +218,8 @@ class SketchServer:
                         break
                 except asyncio.LimitOverrunError:
                     await self._discard_to_newline(reader)
-                    self.n_errors += 1
-                    await self._write(
+                    self._reply(
                         writer,
-                        write_lock,
                         ErrorResponse(
                             error=(
                                 "request line exceeds the "
@@ -209,18 +236,20 @@ class SketchServer:
                     if not line.endswith(b"\n"):
                         break
                     continue
-                frame_task = asyncio.ensure_future(
-                    self._serve_frame(stripped, writer, write_lock)
-                )
-                frame_tasks.add(frame_task)
-                self._inflight.add(frame_task)
-                frame_task.add_done_callback(frame_tasks.discard)
-                frame_task.add_done_callback(self._inflight.discard)
+                pending = self._on_frame(stripped, writer)
+                if pending is not None and pending not in owed:
+                    owed.add(pending)
+                    pending.add_done_callback(owed.discard)
+                if writer.transport.get_write_buffer_size() > WRITE_BUFFER_BOUND:
+                    try:
+                        await writer.drain()
+                    except (ConnectionResetError, BrokenPipeError):
+                        break
                 if not line.endswith(b"\n"):
                     break  # that was the EOF frame
         finally:
-            if frame_tasks:
-                await asyncio.gather(*list(frame_tasks), return_exceptions=True)
+            while owed:
+                await asyncio.gather(*list(owed), return_exceptions=True)
             self._writers.discard(writer)
             writer.close()
             try:
@@ -244,11 +273,31 @@ class SketchServer:
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 return
 
+    def _reply(self, writer: asyncio.StreamWriter, response: Response) -> None:
+        """Queue one reply line on a connection (loop thread only)."""
+        self._reply_all([(writer, response)])
+
+    def _reply_all(self, replies) -> None:
+        """Queue ``(writer, response)`` replies, one write per connection."""
+        lines: dict[asyncio.StreamWriter, list[bytes]] = {}
+        for writer, response in replies:
+            if isinstance(response, ErrorResponse):
+                self.n_errors += 1
+            lines.setdefault(writer, []).append(protocol.encode_safe(response).encode("utf-8"))
+        for writer, out in lines.items():
+            if not writer.is_closing():
+                out.append(b"")
+                writer.write(b"\n".join(out))
+
+    def _track(self, pending: asyncio.Future) -> asyncio.Future:
+        self._inflight.add(pending)
+        pending.add_done_callback(self._inflight.discard)
+        return pending
+
     # --------------------------------------------------------------- requests
 
-    async def _serve_frame(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    def _on_frame(self, line: bytes, writer: asyncio.StreamWriter) -> asyncio.Future | None:
+        """Answer, queue or dispatch one frame; returns what its reply awaits."""
         self.n_requests += 1
         rid: object = None
         try:
@@ -257,29 +306,109 @@ class SketchServer:
             rid = request.id
             if self._draining:
                 raise ProtocolError("server is draining", code="shutting-down")
-            response = await self._dispatch(request)
-        except ProtocolError as exc:
-            response = exc.to_response(rid)
-        except KeyError as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            response = ErrorResponse(error=str(message), code="unknown-sketch", id=rid)
-        except ImmutableSketchError as exc:
-            response = ErrorResponse(error=str(exc), code="immutable", id=rid)
-        except (TimeoutError, asyncio.TimeoutError):
-            response = ErrorResponse(
-                error=f"request missed the {self.request_timeout_s}s deadline",
-                code="timeout",
-                id=rid,
+            if isinstance(request, QueryRequest):
+                return self._on_query(request, writer)
+        except Exception as exc:
+            self._reply(writer, error_response(exc, rid, self.request_timeout_s))
+            return None
+        return self._track(asyncio.ensure_future(self._answer(request, writer)))
+
+    def _on_query(
+        self, request: QueryRequest, writer: asyncio.StreamWriter
+    ) -> asyncio.Future | None:
+        """A cache hit replies now; a miss joins this iteration's block."""
+        q = np.asarray(request.q, dtype=np.float64)
+        hit = self.service.cached(q, request.sketch)
+        if hit is not None:
+            self._reply(
+                writer,
+                QueryResponse(answer=hit, cached=True, id=request.id, sketch=request.sketch),
             )
+            return None
+        key = (request.sketch, q.shape[0])
+        block = self._blocks.get(key)
+        if block is None:
+            if not self._blocks:
+                self._loop.call_soon(self._submit_blocks)
+            block = self._blocks[key] = _Block(
+                request.sketch, self._track(self._loop.create_future())
+            )
+        block.rows.append(q)
+        block.waiters.append((writer, request))
+        return block.done
+
+    def _submit_blocks(self) -> None:
+        """End of iteration: each block goes to its batcher in one submit."""
+        blocks, self._blocks = self._blocks, {}
+        for block in blocks.values():
+            if block.done.done():  # cancelled by stop(drain=False)
+                continue
+            try:
+                block.future = self.service.submit_block(np.stack(block.rows), block.sketch)
+            except Exception as exc:
+                self._fail(block, exc)
+                continue
+            block.timer = self._loop.call_later(
+                self.request_timeout_s, self._fail, block, TimeoutError()
+            )
+            block.future.add_done_callback(
+                lambda fut, block=block: self._call_threadsafe(self._on_answers, block, fut)
+            )
+
+    def _call_threadsafe(self, callback, *args) -> None:
+        try:
+            self._loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:
+            pass  # the loop is closed: stop(drain=False) abandoned this work
+
+    def _on_answers(self, block: _Block, fut: Future) -> None:
+        if block.done.done():  # timed out or cancelled meanwhile
+            return
+        try:
+            answers = fut.result()
+        except Exception as exc:
+            self._fail(block, exc)
+            return
+        self._settle(
+            block,
+            [
+                (writer, QueryResponse(answer=float(a), id=request.id, sketch=request.sketch))
+                for (writer, request), a in zip(block.waiters, answers)
+            ],
+        )
+
+    def _fail(self, block: _Block, exc: Exception) -> None:
+        """Answer every waiter of a block with the error frame for ``exc``."""
+        if block.done.done():
+            return
+        if block.future is not None:
+            block.future.cancel()  # still queued: the batcher skips it
+        self._settle(
+            block,
+            [
+                (writer, error_response(exc, request.id, self.request_timeout_s))
+                for writer, request in block.waiters
+            ],
+        )
+
+    def _settle(self, block: _Block, replies: list) -> None:
+        """Write a block's replies and release it."""
+        if block.timer is not None:
+            block.timer.cancel()
+        # The Future's done-callback refers back to the block; dropping the
+        # block's side of that cycle frees both without the cyclic GC.
+        block.future = block.timer = None
+        self._reply_all(replies)
+        block.done.set_result(None)
+
+    async def _answer(self, request: Request, writer: asyncio.StreamWriter) -> None:
+        try:
+            response = await self._dispatch(request)
         except asyncio.CancelledError:
             raise
-        except Exception as exc:  # the sketch itself raised — report, don't die
-            response = ErrorResponse(
-                error=f"{type(exc).__name__}: {exc}", code="internal", id=rid
-            )
-        if isinstance(response, ErrorResponse):
-            self.n_errors += 1
-        await self._write(writer, write_lock, response)
+        except Exception as exc:
+            response = error_response(exc, request.id, self.request_timeout_s)
+        self._reply(writer, response)
 
     async def _dispatch(self, request: Request) -> Response:
         loop = asyncio.get_running_loop()
@@ -309,48 +438,17 @@ class SketchServer:
                 request.sketch,
             )
             return IngestResponse(ingest=summary, id=request.id, sketch=request.sketch)
-        if isinstance(request, BatchQueryRequest):
-            Q = np.asarray(request.q, dtype=np.float64)
-            answers = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, self.service.ask_many, Q, request.sketch
-                ),
-                self.request_timeout_s,
-            )
-            return BatchQueryResponse(
-                answers=tuple(float(a) for a in answers),
-                id=request.id,
-                sketch=request.sketch,
-            )
-        assert isinstance(request, QueryRequest)
-        # submit() is cheap (cache probe + enqueue) — run it on the loop so
-        # concurrent queries land in the same micro-batch window.
-        fut = self.service.submit(np.asarray(request.q, dtype=np.float64), request.sketch)
-        answer = await asyncio.wait_for(
-            asyncio.wrap_future(fut), self.request_timeout_s
+        assert isinstance(request, BatchQueryRequest)
+        Q = np.asarray(request.q, dtype=np.float64)
+        answers = await asyncio.wait_for(
+            loop.run_in_executor(self._executor, self.service.ask_many, Q, request.sketch),
+            self.request_timeout_s,
         )
-        return QueryResponse(
-            answer=float(answer),
-            cached=bool(getattr(fut, "cached", False)),
+        return BatchQueryResponse(
+            answers=tuple(float(a) for a in answers),
             id=request.id,
             sketch=request.sketch,
         )
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: Response,
-    ) -> None:
-        payload = protocol.encode_safe(response)
-        async with write_lock:  # frames must never interleave mid-line
-            if writer.is_closing():
-                return
-            writer.write(payload.encode("utf-8") + b"\n")
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
 
 # ----------------------------------------------------------- thread embedding

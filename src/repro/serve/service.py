@@ -7,13 +7,15 @@ The façade a server embeds (and what ``repro serve`` runs):
   :class:`~repro.core.neurosketch.NeuroSketch`, or any
   :class:`repro.api.Estimator`;
 - per-sketch micro-batching (:class:`~repro.serve.batching.MicroBatcher`):
-  concurrently submitted queries flush through one compiled ``predict`` on
-  a size/deadline trigger;
+  whatever is queued when a flush worker comes free runs through one
+  compiled ``predict``, so batches form while the workers are busy;
 - a per-sketch answer cache (:class:`~repro.serve.cache.AnswerCache`)
-  keyed on quantized query vectors, consulted synchronously at submit time;
-- async submission: :meth:`submit` returns a
-  :class:`concurrent.futures.Future`, with :meth:`ask`/:meth:`ask_many` as
-  the blocking convenience layer.
+  keyed on quantized query vectors;
+- async submission in two calls: :meth:`cached` probes the cache and
+  :meth:`submit_block` queues a block of misses whose answers fill the
+  cache when it resolves. The socket server gathers one block per event
+  loop iteration from them; :meth:`submit` is the one-query form of the
+  pair, and :meth:`ask`/:meth:`ask_many` the blocking convenience layer.
 
 With the cache disabled, :meth:`ask_many` hands the *exact* query array to
 the sketch's ``predict`` in one flush, so its answers are bitwise-equal to
@@ -22,18 +24,48 @@ the direct batch path (``tests/test_serve.py`` asserts this).
 
 from __future__ import annotations
 
+import asyncio
 import gzip
 import json
+from concurrent import futures
 from concurrent.futures import Future
 
 import numpy as np
 
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import AnswerCache
+from repro.serve.protocol import ErrorResponse, ProtocolError
+
+#: Every way a timeout surfaces: ``asyncio.wait_for`` and
+#: ``Future.result(timeout=...)`` raise their own classes before Python 3.11.
+_TIMEOUTS = (TimeoutError, asyncio.TimeoutError, futures.TimeoutError)
 
 
 class ImmutableSketchError(RuntimeError):
     """An ingest was sent to a service or sketch without mutation support."""
+
+
+def error_response(exc: Exception, id: object, timeout_s: float) -> ErrorResponse:
+    """The wire error frame for an exception raised while answering a request.
+
+    The one exception-to-code table of every transport (socket server,
+    stdio loop, shard worker): malformed frames keep their own protocol
+    code, an unknown sketch name is ``unknown-sketch``, an ingest refused
+    is ``immutable``, a missed deadline of ``timeout_s`` is ``timeout``, and
+    anything the sketch itself raised is ``internal``.
+    """
+    if isinstance(exc, ProtocolError):
+        return exc.to_response(id)
+    if isinstance(exc, KeyError):
+        message = exc.args[0] if exc.args else str(exc)
+        return ErrorResponse(error=str(message), code="unknown-sketch", id=id)
+    if isinstance(exc, ImmutableSketchError):
+        return ErrorResponse(error=str(exc), code="immutable", id=id)
+    if isinstance(exc, _TIMEOUTS):
+        return ErrorResponse(
+            error=f"request missed the {timeout_s}s deadline", code="timeout", id=id
+        )
+    return ErrorResponse(error=f"{type(exc).__name__}: {exc}", code="internal", id=id)
 
 
 def load_sketch(path: str, dtype: str | None = None):
@@ -111,7 +143,8 @@ class SketchService:
     Parameters
     ----------
     max_batch_size, max_delay_s:
-        Micro-batching triggers (see :class:`MicroBatcher`). Pass
+        Micro-batching triggers (see :class:`MicroBatcher`). The default
+        ``max_delay_s=0`` never holds a query back for company. Pass
         ``"auto"`` to derive each sketch's flush threshold from its
         engine's observed segment-size distribution
         (:meth:`~repro.core.compiled.CompiledSketch.segment_stats`);
@@ -148,7 +181,7 @@ class SketchService:
     def __init__(
         self,
         max_batch_size: int | str = 64,
-        max_delay_s: float = 2e-3,
+        max_delay_s: float = 0.0,
         cache: bool | AnswerCache = True,
         cache_resolution: float = 1e-4,
         cache_entries: int = 65_536,
@@ -256,41 +289,65 @@ class SketchService:
 
     # ------------------------------------------------------------ submission
 
+    def cached(self, q: np.ndarray, sketch: str | None = None) -> float | None:
+        """The cached answer to one query, or ``None`` on a miss.
+
+        Always resolves the sketch name, so an unknown one raises
+        ``KeyError`` even with caching off — a caller can reject the query
+        before queueing it.
+        """
+        entry = self._entry(sketch)
+        if entry.cache is None:
+            return None
+        return entry.cache.get(q, entry.cache_ns)
+
+    def submit_block(
+        self, Q: np.ndarray, sketch: str | None = None, scalar: bool = False
+    ) -> Future:
+        """Queue ``(m, d)`` queries as one micro-batch block.
+
+        The Future resolves to the ``(m,)`` answers (a ``float`` with
+        ``scalar=True`` and one row) and carries ``cached = False``. The
+        cache is not probed — call :meth:`cached` first — but the answers
+        fill it when the block resolves.
+        """
+        entry = self._entry(sketch)
+        Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+        fut = entry.batcher.submit(Q, scalar=scalar)
+        fut.cached = False
+        cache, namespace = entry.cache, entry.cache_ns
+        if cache is not None:
+
+            def _store(done: Future) -> None:
+                if not done.cancelled() and done.exception() is None:
+                    cache.put_many(Q, np.atleast_1d(done.result()), namespace)
+
+            fut.add_done_callback(_store)
+        return fut
+
     def submit(self, q: np.ndarray, sketch: str | None = None) -> Future:
         """Async single query: returns a Future resolving to the answer.
 
-        The answer cache is consulted synchronously — a hit returns an
-        already-resolved Future without touching the queue; a miss enqueues
-        the query and populates the cache when the micro-batch flushes.
-        Either way the returned Future carries a ``cached`` attribute so
-        callers (the wire servers) can report hits without diffing stats.
+        A cache hit returns an already-resolved Future without touching
+        the queue; a miss is a one-row :meth:`submit_block`. Either way the
+        Future carries a ``cached`` attribute so callers (the wire
+        servers) can report hits without diffing stats.
         """
-        entry = self._entry(sketch)
         q = np.asarray(q, dtype=np.float64).ravel()
-        if entry.cache is not None:
-            cached = entry.cache.get(q, entry.cache_ns)
-            if cached is not None:
-                fut: Future = Future()
-                fut.set_result(cached)
-                fut.cached = True
-                return fut
-        fut = entry.batcher.submit(q[None, :], scalar=True)
-        fut.cached = False
-        if entry.cache is not None:
-
-            def _store(done: Future, _q=q, _entry=entry) -> None:
-                if not done.cancelled() and done.exception() is None:
-                    _entry.cache.put(_q, done.result(), _entry.cache_ns)
-
-            fut.add_done_callback(_store)
+        hit = self.cached(q, sketch)
+        if hit is None:
+            return self.submit_block(q[None, :], sketch, scalar=True)
+        fut: Future = Future()
+        fut.set_result(hit)
+        fut.cached = True
         return fut
 
     def ask(self, q: np.ndarray, sketch: str | None = None) -> float:
         """Blocking single query.
 
         Runs the flush in the calling thread (sweeping up any concurrently
-        submitted queries), so a lone blocking caller never waits out the
-        accumulation deadline and pays no Future overhead.
+        submitted queries), so a lone blocking caller never waits for a
+        worker thread and pays no Future overhead.
         """
         entry = self._entry(sketch)
         q = np.asarray(q, dtype=np.float64).ravel()
@@ -331,8 +388,7 @@ class SketchService:
             misses = np.asarray(miss_rows, dtype=np.intp)
             answers = entry.batcher.run(Q[misses])
             out[misses] = answers
-            for i, row in enumerate(miss_rows):
-                entry.cache.put(Q[row], answers[i], entry.cache_ns)
+            entry.cache.put_many(Q[misses], answers, entry.cache_ns)
         return out
 
     # ------------------------------------------------------------- mutations

@@ -26,8 +26,9 @@ exits 0; the first line written is the ``READY`` handshake the router
 waits for before forwarding traffic.
 
 :func:`answer_frame` is the synchronous one-frame handler shared with the
-CLI's ``repro serve --stdio`` loop (the asyncio server has its own twin in
-:meth:`repro.serve.server.SketchServer._serve_frame`).
+CLI's ``repro serve --stdio`` loop; it maps exceptions to error frames
+through the same table as the asyncio server
+(:func:`repro.serve.service.error_response`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def answer_frame(service, raw_line, max_line_bytes: int, timeout_s: float):
     and the sharding worker; both speak only :mod:`repro.serve.protocol`
     dataclasses.
     """
-    from repro.serve.service import ImmutableSketchError
+    from repro.serve.service import error_response
 
     rid = None
     try:
@@ -93,21 +94,8 @@ def answer_frame(service, raw_line, max_line_bytes: int, timeout_s: float):
             id=rid,
             sketch=request.sketch,
         )
-    except protocol.ProtocolError as exc:
-        return exc.to_response(rid)
-    except KeyError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        return protocol.ErrorResponse(error=str(message), code="unknown-sketch", id=rid)
-    except ImmutableSketchError as exc:
-        return protocol.ErrorResponse(error=str(exc), code="immutable", id=rid)
-    except TimeoutError:
-        return protocol.ErrorResponse(
-            error=f"request missed the {timeout_s}s deadline", code="timeout", id=rid
-        )
     except Exception as exc:  # a bad frame must not kill the loop
-        return protocol.ErrorResponse(
-            error=f"{type(exc).__name__}: {exc}", code="internal", id=rid
-        )
+        return error_response(exc, rid, timeout_s)
 
 
 def load_worker_sketch(path: str, dtype: str | None = None):
@@ -161,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="micro-batch flush workers inside this process")
     parser.add_argument("--max-batch", type=_parse_max_batch, default=64,
                         help="micro-batch flush trigger (an integer or 'auto')")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0)
+    parser.add_argument("--max-delay-ms", type=float, default=0.0)
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--cache-resolution", type=float, default=1e-4)
     parser.add_argument("--cache-exact", action="store_true")

@@ -157,6 +157,79 @@ def test_invalidate_region_rejects_mismatched_boxes():
         cache.invalidate_region(np.zeros((1, 2)), np.zeros((1, 2)), dim=3)
 
 
+def per_key_invalidation(cache, lo, hi, namespace=b"", dim=None):
+    """Reference oracle: the keys ``invalidate_region`` must evict, found by
+    testing each key on its own (read-only)."""
+    lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
+    hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
+    dim = lo.shape[1] if dim is None else dim
+    half = 0.5 * cache.resolution
+    nslen = len(namespace)
+    doomed = set()
+    for key in cache._data:
+        if not key.startswith(namespace) or len(key) != nslen + 1 + 8 * dim:
+            continue
+        mode, payload = key[nslen : nslen + 1], key[nslen + 1 :]
+        if mode == b"q":
+            q = np.frombuffer(payload, dtype=np.int64) * cache.resolution
+            box_lo, box_hi = lo - half, hi + half
+        elif mode == b"x":
+            q = np.frombuffer(payload, dtype=np.float64)
+            box_lo, box_hi = lo, hi
+        else:
+            continue
+        if np.any(np.all((q >= box_lo) & (q <= box_hi), axis=1)):
+            doomed.add(key)
+    return doomed
+
+
+def _random_boxes(rng, k, d):
+    a, b = rng.uniform(0.0, 1.0, size=(2, k, d))
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_invalidate_region_matches_per_key_oracle(exact):
+    """The vectorized scan evicts exactly what the per-key loop would, over
+    namespaced, exact, quantized, overflow-fallback and mixed-width keys."""
+    rng = np.random.default_rng(17)
+    namespaces = (b"", b"a\x00", b"bb\x00")
+    for trial in range(6):
+        cache = AnswerCache(resolution=0.05, exact=exact)
+        for ns in namespaces:
+            for d in (2, 3):
+                for q in rng.uniform(0.0, 1.0, size=(150, d)):
+                    cache.put(q, float(q.sum()), namespace=ns)
+        cache.put(np.array([3e18, 0.5]), 1.0)  # quantized overflow -> exact key
+        cache.put(np.array([0.5, np.inf]), 2.0)
+        ns = namespaces[trial % len(namespaces)]
+        d = 2 + trial % 2
+        lo, hi = _random_boxes(rng, 1 + trial, d)
+        if trial == 5:
+            lo[0, 0], hi[0, 0] = -np.inf, np.inf  # unconstrained side
+        before = set(cache._data)
+        expected = per_key_invalidation(cache, lo, hi, namespace=ns)
+        assert expected, "the boxes must hit something for the check to bite"
+        evicted = cache.invalidate_region(lo, hi, namespace=ns)
+        assert evicted == len(expected)
+        assert before - set(cache._data) == expected
+        assert cache.invalidations == evicted
+
+
+def test_put_many_stores_what_put_would():
+    rng = np.random.default_rng(3)
+    Q = np.vstack([rng.uniform(size=(20, 3)), [[3e18, 0.0, 1.0]]])
+    answers = Q.sum(axis=1)
+    one, many = AnswerCache(resolution=1e-3), AnswerCache(resolution=1e-3)
+    for q, a in zip(Q, answers):
+        one.put(q, a, namespace=b"n\x00")
+    many.put_many(Q, answers, namespace=b"n\x00")
+    assert list(many._data.items()) == list(one._data.items())
+    bounded = AnswerCache(resolution=1e-3, max_entries=5)
+    bounded.put_many(Q, answers)
+    assert len(bounded) == 5 and bounded.get(Q[-1]) == answers[-1]
+
+
 def test_clear_resets_invalidation_counter():
     cache = AnswerCache(resolution=0.01)
     cache.put(np.array([0.5]), 1.0)
@@ -205,6 +278,22 @@ def test_microbatcher_propagates_predict_errors():
         fut = batcher.submit(np.array([[1.0]]))
         with pytest.raises(RuntimeError, match="kaboom"):
             fut.result(timeout=5.0)
+    finally:
+        batcher.close()
+
+
+def test_microbatcher_survives_blocks_of_mismatched_widths():
+    # A flush that cannot even stack its blocks fails their Futures; the
+    # worker thread lives on to answer the next block.
+    batcher = MicroBatcher(SumSketch().predict, max_batch_size=100, max_delay_s=0.2)
+    try:
+        narrow = batcher.submit(np.ones((1, 2)))
+        wide = batcher.submit(np.ones((1, 3)))
+        for fut in (narrow, wide):
+            with pytest.raises(ValueError):
+                fut.result(timeout=5.0)
+        assert batcher.submit(np.ones((1, 2)), scalar=True).result(timeout=5.0) == 2.0
+        assert batcher.stats()["n_errors"] == 1
     finally:
         batcher.close()
 
@@ -572,6 +661,37 @@ def test_cache_key_non_finite_components_are_distinct_and_stable():
     cache.put(q_inf, 7.0)
     assert cache.get(q_inf) == 7.0
     assert cache.get(q_nan) is None
+
+
+def numpy_cache_key(cache, q, namespace=b""):
+    """Reference oracle: the cache key computed with NumPy array ops."""
+    q = np.asarray(q, dtype=np.float64).ravel()
+    if cache.exact:
+        return namespace + b"x" + q.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.round(q / cache.resolution)
+    if np.all(np.isfinite(scaled)) and np.all(np.abs(scaled) < float(2**62)):
+        return namespace + b"q" + scaled.astype(np.int64).tobytes()
+    return namespace + b"x" + q.tobytes()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cache_keys_match_the_numpy_oracle(exact):
+    rng = np.random.default_rng(21)
+    limit = 2**62 * 1e-4
+    Q = np.vstack([
+        rng.uniform(-1.0, 1.0, size=(300, 4)),
+        rng.normal(scale=1e15, size=(50, 4)),  # around the int64 bound
+        np.round(rng.uniform(-50, 50, size=(50, 4))) * 1e-4 + 0.5e-4,  # ties
+        [[np.nan, 0.0, 0.0, 0.0], [0.0, -np.inf, 1.0, 2.0], [-0.0, 0.0, 0.0, 0.0],
+         [limit, 0.0, 0.0, 0.0], [np.nextafter(limit, 0.0), 0.0, 0.0, 0.0],
+         [-limit, 1.0, 1.0, 1.0], [1e305, 0.0, 0.0, 0.0]],
+    ])
+    cache = AnswerCache(resolution=1e-4, exact=exact)
+    expected = [numpy_cache_key(cache, q, b"ns\x00") for q in Q]
+    assert [cache.key(q, b"ns\x00") for q in Q] == expected
+    cache.put_many(Q, np.arange(len(Q), dtype=np.float64), b"ns\x00")
+    assert set(cache._data) == set(expected)
 
 
 def test_cache_key_modes_cannot_alias_each_other():

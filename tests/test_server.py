@@ -238,6 +238,170 @@ def test_sketch_exception_reports_internal_error():
         svc.close()
 
 
+# ------------------------------------------------- per-iteration query blocks
+
+
+def send_pipelined(client, queries, first_id=0, sketch=None):
+    """Write one single-query frame per row in one send; returns the ids."""
+    from repro.serve import protocol
+    from repro.serve.protocol import QueryRequest
+
+    ids = list(range(first_id, first_id + len(queries)))
+    frames = [
+        protocol.encode(QueryRequest(q=tuple(map(float, q)), id=i, sketch=sketch))
+        for i, q in zip(ids, queries)
+    ]
+    client._require_open().sendall(("\n".join(frames) + "\n").encode())
+    return ids
+
+
+def read_replies(client, n):
+    """Read ``n`` raw response frames (errors included), keyed by id."""
+    from repro.serve import protocol
+
+    out = {}
+    for _ in range(n):
+        response = protocol.decode_response(client._rfile.readline())
+        out[response.id] = response
+    return out
+
+
+def test_pipelined_single_queries_share_flushes():
+    svc = SketchService(cache=False, workers=2)
+    svc.register("sum", SumSketch())
+    handle = start_server_thread(svc)
+    rng = np.random.default_rng(12)
+    Q = rng.uniform(size=(64, 3))
+    try:
+        with Client.connect(handle.address) as a, Client.connect(handle.address) as b:
+            send_pipelined(a, Q[:32])
+            send_pipelined(b, Q[32:], first_id=32)
+            replies = {**read_replies(a, 32), **read_replies(b, 32)}
+        assert sorted(replies) == list(range(64))
+        for i, response in replies.items():
+            assert response.answer == Q[i].sum() and response.cached is False
+        flushes = svc.stats()["batcher"]["n_flushes"]
+        assert 1 <= flushes < 64
+    finally:
+        handle.stop()
+        svc.close()
+
+
+def test_pipelined_queries_to_a_slow_sketch_time_out_by_id():
+    svc = SketchService(cache=False)
+    svc.register("slow", SlowSketch(delay_s=2.0))
+    handle = start_server_thread(svc, request_timeout_s=0.3)
+    try:
+        with Client.connect(handle.address) as a, Client.connect(handle.address) as b:
+            t0 = time.perf_counter()
+            ids = send_pipelined(a, np.ones((8, 2)), first_id=100)
+            stats = b.stats()  # another connection is not held up
+            assert stats["sketch"] == "slow"
+            replies = read_replies(a, len(ids))
+            assert time.perf_counter() - t0 < 1.5  # did not wait out the sketch
+        assert sorted(replies) == ids
+        assert {r.code for r in replies.values()} == {"timeout"}
+    finally:
+        handle.stop()
+        svc.close()
+
+
+def test_raising_sketch_fails_every_pipelined_query_by_id():
+    class Boom:
+        def predict(self, Q):
+            raise RuntimeError("kaboom")
+
+    svc = SketchService(cache=False)
+    svc.register("boom", Boom())
+    handle = start_server_thread(svc)
+    try:
+        with Client.connect(handle.address) as client:
+            ids = send_pipelined(client, np.ones((10, 2)), first_id=7)
+            replies = read_replies(client, len(ids))
+            assert client.stats()["batcher"]["n_errors"] >= 1  # connection lives
+    finally:
+        handle.stop()
+        svc.close()
+    assert sorted(replies) == ids
+    for response in replies.values():
+        assert response.code == "internal" and "kaboom" in response.error
+
+
+def test_sequential_wire_queries_equal_one_row_predict_bitwise(golden_compiled):
+    """One query at a time makes one-row flushes, which take the scalar
+    kernel — the same one ``predict(q[None])`` runs."""
+    engine = golden_compiled.with_dtype("float32")
+    Q = np.random.default_rng(8).uniform(size=(24, engine.input_dim))
+    svc = SketchService(cache=False)
+    svc.register("golden", engine)
+    handle = start_server_thread(svc)
+    try:
+        with Client.connect(handle.address) as client:
+            wire = [client.ask(q) for q in Q]
+    finally:
+        handle.stop()
+        svc.close()
+    local = [engine.predict(q[None])[0] for q in Q]
+    assert np.asarray(wire).tobytes() == np.asarray(local).tobytes()
+
+
+def test_unread_replies_stay_bounded_in_server_memory(sum_server):
+    """A client that pipelines without reading stalls its own read loop
+    instead of piling replies up in the server."""
+    from repro.serve.server import WRITE_BUFFER_BOUND
+
+    _, handle = sum_server
+    n = 10_000  # ~500 KB of replies, far past the bound
+    client = Client.connect(handle.address)
+    try:
+        assert client.ask([0.25, 0.5], sketch="sum") == 0.75  # warm the cache
+        (writer,) = handle.server._writers
+        # A small kernel send buffer, so the replies back up in user space.
+        writer.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sender = threading.Thread(
+            target=send_pipelined,
+            args=(client, np.tile([0.25, 0.5], (n, 1))),
+            kwargs={"sketch": "sum"},
+            daemon=True,
+        )
+        sender.start()
+        peak = 0
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            peak = max(peak, writer.transport.get_write_buffer_size())
+            time.sleep(0.01)
+        assert peak <= 2 * WRITE_BUFFER_BOUND
+        replies = read_replies(client, n)
+        sender.join(timeout=30.0)
+        assert len(replies) == n and all(r.answer == 0.75 for r in replies.values())
+    finally:
+        client.close()
+
+
+def test_error_table_is_shared_by_every_transport():
+    import asyncio
+    from concurrent import futures
+
+    from repro.serve import ImmutableSketchError
+    from repro.serve.protocol import ProtocolError
+    from repro.serve.service import error_response
+
+    cases = {
+        ProtocolError("bad", code="bad-json"): "bad-json",
+        KeyError("unknown sketch 'x'"): "unknown-sketch",
+        ImmutableSketchError("read-only"): "immutable",
+        TimeoutError(): "timeout",
+        asyncio.TimeoutError(): "timeout",
+        futures.TimeoutError(): "timeout",
+        ValueError("bad width"): "internal",
+    }
+    for exc, code in cases.items():
+        response = error_response(exc, 9, 0.5)
+        assert (response.code, response.id) == (code, 9)
+    assert "0.5s" in error_response(TimeoutError(), 1, 0.5).error
+    assert error_response(KeyError("no such"), 1, 0.5).error == "no such"
+
+
 # ------------------------------------------------------------- shutdown drain
 
 
