@@ -1,6 +1,7 @@
 """Baseline AQP engines the paper compares against (Section 5.1).
 
-- :class:`~repro.baselines.exact.ExactScan` — ground-truth full scan.
+- :class:`~repro.baselines.exact.ExactScan` — exact ground truth from the
+  executor's per-attribute sorted index.
 - :class:`~repro.baselines.tree_agg.TreeAgg` — the paper's own sampling
   baseline: uniform sample + R-tree index (the R-tree itself is built from
   scratch in :mod:`repro.baselines.rtree`).

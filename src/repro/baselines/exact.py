@@ -1,4 +1,4 @@
-"""Exact full-scan engine (ground truth / slowest baseline)."""
+"""Exact baseline: ground-truth answers from the sorted per-attribute index."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ from repro.queries.query_function import QueryFunction
 
 
 class ExactScan(AQPMethod):
-    """Answers every query exactly by scanning the full dataset."""
+    """Answers every query exactly through the query function's
+    :class:`~repro.queries.executor.ExactEngine`, whose per-attribute sorted
+    index is built once when the query function is constructed; ``fit``
+    and ``predict`` never rebuild it."""
 
     name = "exact"
 

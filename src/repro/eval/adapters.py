@@ -18,8 +18,8 @@ define are gone. What remains here is:
 Registered estimators:
 
 - ``neurosketch`` — the paper's method (kd-tree + per-leaf MLPs).
-- ``exact`` — full-scan ground truth (accuracy 0 by construction; its value
-  is the latency/storage reference point).
+- ``exact`` — exact ground truth from a sorted per-attribute index (accuracy
+  0 by construction; its value is the latency/storage reference point).
 - ``rtree`` — an R-tree over the *full* dataset: exact answers through the
   index, i.e. the no-sampling limit of TREE-AGG.
 - ``tree-agg`` — the paper's sampling baseline (uniform sample + R-tree).

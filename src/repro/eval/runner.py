@@ -746,8 +746,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
         n_active=config.n_active,
         range_frac=config.range_frac,
     )
-    Q_train, y_train, Q_test, y_test = train_test_queries(
-        workload, config.n_train, config.n_test
+    # Exact labelling is a build stage of its own: the build block records it.
+    (Q_train, y_train, Q_test, y_test), label_s = timed(
+        lambda: train_test_queries(workload, config.n_train, config.n_test)
     )
 
     n_timing = min(config.n_timing_queries, Q_test.shape[0])
@@ -925,6 +926,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
                 "speedup_vs_sequential": by_backend_s["sequential"] / by_backend_s["stacked"],
                 "stacked_normalized_mae": by_backend_nmae["stacked"],
                 "sequential_normalized_mae": by_backend_nmae["sequential"],
+                "label_s": label_s,
             }
             if report is not None:
                 # A sub-1x speedup on a container with fewer cores than

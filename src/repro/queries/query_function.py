@@ -3,11 +3,13 @@
 A :class:`QueryFunction` binds a dataset, a predicate function and an
 aggregation function into the paper's ``f_D : [0,1]^d -> R`` (Section 2).
 Calling it evaluates exact answers (the observed query function); learned
-models approximate it.
+models approximate it. The exact engine indexes a snapshot of the data at
+construction and every call reuses that index.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence, Union
 
 import numpy as np
@@ -98,8 +100,10 @@ class QueryFunction:
         return counts / self.dataset.n
 
     def with_aggregate(self, aggregate: Union[str, Aggregate]) -> "QueryFunction":
-        """Same predicate/data, different aggregation function."""
-        return QueryFunction(self.dataset, self.predicate, aggregate, measure=self.measure)
+        """Same predicate/data, different aggregation function (shares the index)."""
+        other = copy.copy(self)
+        other.aggregate = get_aggregate(aggregate)
+        return other
 
     def describe(self) -> str:
         return (

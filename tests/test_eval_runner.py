@@ -330,6 +330,16 @@ def test_runner_records_build_backend_comparison(tiny_result):
     assert tiny_result.estimator("uniform").build is None
 
 
+def test_build_block_records_label_stage(tiny_result, tmp_path):
+    """Exact labelling of the train/test queries is timed as a build stage
+    and survives serialization into the BENCH file."""
+    build = tiny_result.estimator("neurosketch").build
+    assert build["label_s"] > 0.0
+    payload = load_bench_json(write_bench_json(tiny_result, "labels", tmp_path))
+    ns = next(e for e in payload["estimators"] if e["name"] == "neurosketch")
+    assert ns["build"]["label_s"] == build["label_s"]
+
+
 def test_build_block_serializes_into_bench_json(tiny_result, tmp_path):
     path = write_bench_json(tiny_result, "build", tmp_path)
     payload = load_bench_json(path)

@@ -1,11 +1,13 @@
-"""Exact-executor tests: the vectorized engine must match a naive loop."""
+"""Exact-executor tests: the sorted-index engine must match a naive loop
+and the former blocked-gemm evaluator, kept here as a reference oracle."""
 
 import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.queries import QueryFunction, WorkloadGenerator
-from repro.queries.aggregates import get_aggregate
+from repro.queries import AxisRangePredicate, QueryFunction, WorkloadGenerator
+from repro.queries.aggregates import MOMENT_AGGREGATES, get_aggregate, moment_aggregate_batch
+from repro.queries.executor import ExactEngine
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +70,55 @@ def _random_bounds(rng, m, d):
     return lo, np.minimum(hi, 1.0)
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_blocked_path_at_exact_block_boundary(monkeypatch, extra):
-    """Query counts landing exactly on (and one past) the block boundary.
+def _blocked_gemm_oracle(X, measure, lo, hi, aggregate, block_cells=8_000_000):
+    """The executor's former axis-range path, kept as a reference oracle.
 
-    With ``_BLOCK_CELLS`` patched so ``q_block * n == _BLOCK_CELLS``, a batch
-    of ``k * q_block`` queries exercises full blocks with no remainder; the
-    ``+1`` case adds a one-query trailing block. Both must match the
-    unblocked evaluation bit-for-bit.
+    Per block of queries it builds the ``(queries, rows)`` bool match matrix
+    one attribute at a time, then answers the moment aggregates with one
+    gemm against a ``(rows, 3)`` matrix of (1, x, x^2) and everything else
+    with a per-row mask.
     """
-    from repro.queries import executor
-    from repro.queries.aggregates import get_aggregate
+    n, d = X.shape
+    m = lo.shape[0]
+    out = np.empty(m, dtype=np.float64)
+    q_block = max(1, block_cells // max(1, n))
+    moments = np.stack([np.ones(n), measure, measure * measure], axis=1)
+    for start in range(0, m, q_block):
+        stop = min(m, start + q_block)
+        mask = np.ones((stop - start, n), dtype=bool)
+        for j in range(d):
+            mask &= X[:, j] >= lo[start:stop, j, None]
+            mask &= X[:, j] < hi[start:stop, j, None]
+        if aggregate.name in MOMENT_AGGREGATES:
+            agg = mask.astype(np.float64) @ moments
+            out[start:stop] = moment_aggregate_batch(
+                aggregate.name, agg[:, 0], agg[:, 1], agg[:, 2]
+            )
+        else:
+            for i in range(stop - start):
+                out[start + i] = aggregate(measure[mask[i]])
+    return out
 
+
+@pytest.fixture(scope="module")
+def wide():
+    """4-D data with a workload of mixed selectivity (some empty boxes)."""
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(3000, 4))
+    measure = rng.normal(5.0, 2.0, size=3000)
+    lo, hi = _random_bounds(rng, 300, 4)
+    return X, measure, lo, hi
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_blocked_path_at_exact_block_boundary(extra):
+    """Query counts landing exactly on (and one past) a block boundary.
+
+    A batch of ``k * q_block`` queries gives full blocks with no remainder;
+    the ``+1`` case adds a one-query trailing block. Answering the batch in
+    such blocks must match the whole-batch answers bit-for-bit, and the
+    blocked-gemm oracle run with exactly that block size must agree too.
+    """
     rng = np.random.default_rng(7)
     n, d, q_block = 40, 3, 5
     X = rng.uniform(0.0, 1.0, size=(n, d))
@@ -88,10 +127,60 @@ def test_blocked_path_at_exact_block_boundary(monkeypatch, extra):
     lo, hi = _random_bounds(rng, m, d)
     agg = get_aggregate("AVG")
 
-    unblocked = executor.evaluate_axis_range_batch(X, measure, lo, hi, agg)
-    monkeypatch.setattr(executor, "_BLOCK_CELLS", q_block * n)
-    blocked = executor.evaluate_axis_range_batch(X, measure, lo, hi, agg)
-    np.testing.assert_array_equal(blocked, unblocked)
+    engine = ExactEngine(X, measure)
+    whole = engine.answer_bounds(lo, hi, agg)
+    blocked = np.concatenate(
+        [
+            engine.answer_bounds(lo[s : s + q_block], hi[s : s + q_block], agg)
+            for s in range(0, m, q_block)
+        ]
+    )
+    np.testing.assert_array_equal(blocked, whole)
+    oracle = _blocked_gemm_oracle(X, measure, lo, hi, agg, block_cells=q_block * n)
+    np.testing.assert_allclose(whole, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("agg", ["COUNT", "SUM", "AVG", "STD", "VAR"])
+def test_sorted_index_matches_blocked_gemm_oracle(wide, agg):
+    X, measure, lo, hi = wide
+    aggregate = get_aggregate(agg)
+    got = ExactEngine(X, measure).answer_bounds(lo, hi, aggregate)
+    # Small blocks so the oracle itself crosses block boundaries.
+    expected = _blocked_gemm_oracle(X, measure, lo, hi, aggregate, block_cells=64 * 3000)
+    # Both engines take STD/VAR as E[x^2] - E[x]^2, which cancels when a
+    # box's spread is small against its mean: the last-ulp difference of two
+    # summation orders then shows element-wise (1.5e-12 relative for one box
+    # here, std 0.035 around a mean near 5). Those two compare at 1e-12 of
+    # the batch's largest answer instead.
+    atol = 1e-12 * np.max(np.abs(expected)) if agg in ("STD", "VAR") else 0.0
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
+    if agg == "COUNT":
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("agg", ["COUNT", "SUM", "AVG", "STD", "MEDIAN"])
+def test_answers_do_not_depend_on_batch_composition(wide, agg):
+    """An answer is a function of its own query alone: the same queries
+    answered permuted, split into arbitrary chunks, or one at a time through
+    ``answer_one`` give bitwise-equal answers."""
+    X, measure, lo, hi = wide
+    engine = ExactEngine(X, measure)
+    pred = AxisRangePredicate(4, (0, 1, 2, 3))
+    Q = np.hstack([lo, hi - lo])
+    whole = engine.answer(pred, Q, agg)
+    np.testing.assert_array_equal(whole, engine.answer_bounds(lo, hi, agg))
+
+    perm = np.random.default_rng(9).permutation(Q.shape[0])
+    permuted = np.empty_like(whole)
+    permuted[perm] = engine.answer(pred, Q[perm], agg)
+    np.testing.assert_array_equal(permuted, whole)
+
+    cuts = [0, 1, 2, 37, 38, 150, 299, Q.shape[0]]
+    chunked = np.concatenate([engine.answer(pred, Q[a:b], agg) for a, b in zip(cuts, cuts[1:])])
+    np.testing.assert_array_equal(chunked, whole)
+
+    one_at_a_time = np.array([engine.answer_one(pred, q, agg) for q in Q])
+    np.testing.assert_array_equal(one_at_a_time, whole)
 
 
 @pytest.mark.parametrize("agg", ["AVG", "STD", "VAR"])
@@ -117,7 +206,7 @@ def test_zero_match_moment_aggregates_do_not_warn(agg):
 
 @pytest.mark.parametrize("agg", ["COUNT", "SUM", "AVG", "STD", "MEDIAN"])
 def test_one_dimensional_data(agg):
-    """d=1 data through both the moment path and the per-query fallback."""
+    """d=1 data through both the moment and the order-statistic aggregates."""
     from repro.queries.executor import evaluate_axis_range_batch
     from repro.queries.aggregates import get_aggregate
 
@@ -144,3 +233,189 @@ def test_one_dimensional_end_to_end_dataset():
     Q = WorkloadGenerator(qf, seed=3).sample(20)
     got = qf(Q)
     np.testing.assert_allclose(got, _naive(ds, qf, Q, "AVG"), rtol=1e-10, atol=1e-10)
+
+
+# ------------------------------------------------- sorted-index edge cases
+
+#: Aggregates the naive loop computes the same way from the same rows in the
+#: same ascending order, so the two must agree bitwise. STD differs: the
+#: engine uses the moment formula, the naive loop numpy's two-pass std.
+_EQUAL_AGGS = ("COUNT", "SUM", "AVG", "MEDIAN", "P90", "MIN", "MAX")
+
+
+def _naive_bounds(X, measure, lo, hi, agg):
+    """Per-query boolean mask over the rows, for explicit bounds."""
+    reference = get_aggregate(agg)
+    return np.array(
+        [reference(measure[np.all((X >= lo[k]) & (X < hi[k]), axis=1)]) for k in range(len(lo))]
+    )
+
+
+def _check_against_naive(X, measure, lo, hi, aggs=_EQUAL_AGGS + ("STD",)):
+    engine = ExactEngine(X, measure)
+    for agg in aggs:
+        got = engine.answer_bounds(lo, hi, agg)
+        expected = _naive_bounds(X, measure, lo, hi, agg)
+        if agg in _EQUAL_AGGS:
+            np.testing.assert_array_equal(got, expected, err_msg=agg)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10, err_msg=agg)
+
+
+def test_box_includes_rows_on_lo_and_excludes_rows_on_hi():
+    grid = np.arange(9) / 8.0
+    X = np.array([(a, b) for a in grid for b in grid])
+    measure = np.random.default_rng(21).uniform(0.0, 10.0, size=X.shape[0])
+    lo = np.array([[0.25, 0.25], [0.0, 0.5], [0.125, 0.0], [0.5, 0.5]])
+    hi = np.array([[0.75, 0.75], [1.0, 0.625], [0.25, 1.0], [0.5, 1.0]])
+    counts = ExactEngine(X, measure).answer_bounds(lo, hi, "COUNT")
+    # Per attribute, grid values in [lo, hi): lo itself counts, hi does not
+    # (so the row at 1.0 is outside even a [0, 1) bound).
+    np.testing.assert_array_equal(counts, [4 * 4, 8 * 1, 1 * 8, 0])
+    _check_against_naive(X, measure, lo, hi)
+
+
+def test_row_at_one_is_outside_an_inactive_bound():
+    """Min-max normalized data puts one row at exactly 1.0; an inactive
+    attribute's [0, 1) bound must still exclude it, even though that slab
+    holds every row but one."""
+    rng = np.random.default_rng(22)
+    X = rng.uniform(0.0, 1.0, size=(300, 2))
+    X[:, 0] = (X[:, 0] - X[:, 0].min()) / (X[:, 0].max() - X[:, 0].min())
+    top = int(np.argmax(X[:, 0]))
+    measure = rng.uniform(0.0, 10.0, size=300)
+    lo = np.array([[0.0, X[top, 1] - 0.05]])
+    hi = np.array([[1.0, X[top, 1] + 0.05]])
+    _check_against_naive(X, measure, lo, hi)
+
+
+def test_many_rows_sharing_a_coordinate():
+    rng = np.random.default_rng(23)
+    n = 1500
+    X = np.column_stack([
+        rng.integers(0, 3, size=n) / 4.0,  # three values, ~500 rows each
+        np.full(n, 0.5),  # every row on one value
+        rng.uniform(0.0, 1.0, size=n),
+    ])
+    measure = rng.uniform(-5.0, 5.0, size=n)
+    lo = np.array([[0.25, 0.5, 0.0], [0.0, 0.0, 0.2], [0.25, 0.25, 0.1], [0.3, 0.5, 0.0],
+                   [0.0, 0.5, 0.0], [0.5, 0.0, 0.4]])
+    hi = np.array([[0.5, 0.75, 1.0], [0.25, 0.5, 0.9], [0.5, 0.5, 0.6], [0.5, 1.0, 1.0],
+                   [1.0, 0.5000001, 1.0], [0.75, 1.0, 0.8]])
+    _check_against_naive(X, measure, lo, hi)
+
+
+@pytest.mark.parametrize("agg", ["COUNT", "SUM", "AVG", "STD", "MEDIAN", "MAX"])
+def test_zero_rows_and_zero_queries(agg):
+    rng = np.random.default_rng(25)
+    lo, hi = _random_bounds(rng, 6, 3)
+    empty_data = ExactEngine(np.empty((0, 3)), np.empty(0))
+    np.testing.assert_array_equal(empty_data.answer_bounds(lo, hi, agg), np.zeros(6))
+    engine = ExactEngine(rng.uniform(size=(50, 3)), rng.uniform(size=50))
+    none = engine.answer_bounds(np.empty((0, 3)), np.empty((0, 3)), agg)
+    assert none.shape == (0,) and none.dtype == np.float64
+    pred = AxisRangePredicate(3, (0, 1, 2))
+    assert engine.answer(pred, np.empty((0, 6)), agg).shape == (0,)
+
+
+def test_thirteen_dimensional_batch_mostly_empty():
+    """The tpcds shape: every one of 13 attributes active, so almost every
+    box is empty; empty AVG/STD answers are 0 and raise no warning (the
+    suite turns warnings into errors)."""
+    rng = np.random.default_rng(27)
+    d = 13
+    X = rng.uniform(0.0, 1.0, size=(4000, d))
+    measure = rng.uniform(0.0, 100.0, size=4000)
+    lo, hi = _random_bounds(rng, 200, d)
+    # A few wide boxes so the batch also holds non-empty answers.
+    lo[:5], hi[:5] = 0.0, 1.0
+    lo[:5, :2] = rng.uniform(0.0, 0.5, size=(5, 2))
+    counts = ExactEngine(X, measure).answer_bounds(lo, hi, "COUNT")
+    assert np.mean(counts == 0) > 0.9 and np.all(counts[:5] > 0)
+    _check_against_naive(X, measure, lo, hi)
+    for agg in ("AVG", "STD"):
+        out = ExactEngine(X, measure).answer_bounds(lo, hi, agg)
+        np.testing.assert_array_equal(out[counts == 0], 0.0)
+
+
+def test_order_statistics_go_through_the_index(monkeypatch):
+    """MEDIAN, a percentile, MIN and MAX answer from the sorted index, not
+    the generic per-query predicate fallback."""
+    from repro.queries import executor
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("axis ranges must not take the predicate fallback")
+
+    monkeypatch.setattr(executor, "evaluate_predicate_batch", fallback)
+    rng = np.random.default_rng(29)
+    X = rng.uniform(0.0, 1.0, size=(800, 3))
+    measure = rng.normal(0.0, 3.0, size=800)
+    lo, hi = _random_bounds(rng, 60, 3)
+    pred = AxisRangePredicate(3, (0, 1, 2))
+    Q = np.hstack([lo, hi - lo])
+    engine = ExactEngine(X, measure)
+    for agg in ("MEDIAN", "P90", "MIN", "MAX"):
+        np.testing.assert_array_equal(
+            engine.answer(pred, Q, agg), _naive_bounds(X, measure, *pred.batch_bounds(Q), agg)
+        )
+
+
+def test_rows_appended_outside_every_box_leave_answers_bitwise_unchanged():
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 0.9, size=(2000, 3))
+    measure = rng.uniform(0.0, 10.0, size=2000)
+    lo, hi = _random_bounds(rng, 150, 3)
+    hi = np.minimum(hi, 0.95)
+    # Each new row lies past every box's hi on one random attribute.
+    extra = rng.uniform(0.0, 1.0, size=(300, 3))
+    extra[np.arange(300), rng.integers(0, 3, size=300)] = rng.uniform(0.95, 1.0, size=300)
+    grown_X = np.vstack([X, extra])
+    grown_measure = np.concatenate([measure, rng.uniform(-1e6, 1e6, size=300)])
+    before, after = ExactEngine(X, measure), ExactEngine(grown_X, grown_measure)
+    for agg in ("COUNT", "SUM", "AVG", "STD", "VAR", "MEDIAN", "MAX"):
+        np.testing.assert_array_equal(
+            after.answer_bounds(lo, hi, agg), before.answer_bounds(lo, hi, agg), err_msg=agg
+        )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_engine_owns_its_snapshot(order):
+    """Mutating the caller's arrays after construction cannot desync the
+    index, whatever the caller's memory layout."""
+    rng = np.random.default_rng(33)
+    X = np.asarray(rng.uniform(0.0, 1.0, size=(500, 3)), order=order)
+    measure = rng.uniform(0.0, 10.0, size=500)
+    lo, hi = _random_bounds(rng, 40, 3)
+    engine = ExactEngine(X, measure)
+    before = {agg: engine.answer_bounds(lo, hi, agg) for agg in ("COUNT", "AVG", "MEDIAN")}
+    X[:] = rng.uniform(0.0, 1.0, size=X.shape)
+    measure *= -3.0
+    for agg, expected in before.items():
+        np.testing.assert_array_equal(engine.answer_bounds(lo, hi, agg), expected)
+    assert not engine.X.flags.writeable and not engine.measure.flags.writeable
+
+
+def test_exact_scan_and_query_function_reuse_the_construction_index(setup, monkeypatch):
+    """Only constructing a query function builds an index: calls, single
+    answers, ``with_aggregate`` and the exact baseline all reuse it."""
+    from repro.baselines.exact import ExactScan
+    from repro.queries import executor
+
+    ds, _, Q = setup
+    qf = QueryFunction.axis_range(ds, aggregate="AVG")
+    built = []
+    original = executor.ExactEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(executor.ExactEngine, "__init__", counting_init)
+    qf(Q)
+    qf.answer_one(Q[0])
+    qf.selectivity(Q)
+    qf.with_aggregate("MEDIAN")(Q)
+    scan = ExactScan().fit(qf)
+    scan.predict(Q)
+    scan.predict_one(Q[0])
+    assert built == []
