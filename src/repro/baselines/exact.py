@@ -29,6 +29,7 @@ class ExactScan(AQPMethod):
         return self._qf(Q)
 
     def num_bytes(self) -> int:
+        """What answering holds: the engine's index, ~3x the attribute bytes."""
         if self._qf is None:
             raise RuntimeError("ExactScan is not fitted")
-        return self._qf.dataset.size_bytes()
+        return self._qf.engine.num_bytes()

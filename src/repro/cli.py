@@ -156,7 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "in-process asyncio server)")
     serve.add_argument("--workers", type=int, default=4,
                        help="micro-batch flush workers; each concurrent flush "
-                            "uses its own engine replica")
+                            "uses its own engine replica. A compiled sketch "
+                            "answers in the server's own thread instead "
+                            "unless --max-delay-ms > 0, so this only matters "
+                            "for other sketches or a nonzero delay")
     serve.add_argument("--max-batch", type=_parse_max_batch, default=64,
                        help="micro-batch size flush trigger: an integer, or "
                             "'auto' to derive it from the engine's observed "
@@ -164,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-delay-ms", type=float, default=0.0,
                        help="longest a flush worker holds queries back waiting "
                             "for --max-batch of them, milliseconds (default 0: "
-                            "a free worker flushes everything pending, so "
-                            "batches form only while workers are busy)")
+                            "a compiled sketch answers in the server's own "
+                            "thread, any other sketch as soon as a worker is "
+                            "free)")
     serve.add_argument("--max-line-bytes", type=int, default=None,
                        help="per-request line size bound (default 1 MiB)")
     serve.add_argument("--request-timeout-s", type=float, default=30.0,

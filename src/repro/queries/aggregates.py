@@ -72,10 +72,6 @@ _REGISTRY["VARIANCE"] = VAR
 
 AGGREGATE_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 
-#: Aggregates with a streaming moment-based fast path in the executor.
-MOMENT_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "STD", "VAR", "STDEV", "VARIANCE"})
-
-
 def get_aggregate(agg: Union[str, Aggregate]) -> Aggregate:
     """Resolve an aggregate by name (case-insensitive) or pass one through."""
     if isinstance(agg, Aggregate):
@@ -86,33 +82,3 @@ def get_aggregate(agg: Union[str, Aggregate]) -> Aggregate:
     if key not in _REGISTRY:
         raise KeyError(f"unknown aggregate {agg!r}; have {AGGREGATE_NAMES}")
     return _REGISTRY[key]
-
-
-def moment_aggregate_batch(
-    agg_name: str,
-    counts: np.ndarray,
-    sums: np.ndarray,
-    sumsqs: np.ndarray,
-) -> np.ndarray:
-    """Compute a moment-based aggregate from per-query (count, sum, sum-of-squares).
-
-    Used by the executor's vectorized path; empty queries yield 0 for every
-    aggregate per the package convention.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    nonempty = counts > 0
-    safe_counts = np.where(nonempty, counts, 1.0)
-    name = agg_name.upper()
-    if name == "COUNT":
-        return counts.copy()
-    if name == "SUM":
-        return np.where(nonempty, sums, 0.0)
-    if name == "AVG":
-        return np.where(nonempty, sums / safe_counts, 0.0)
-    if name in ("VAR", "VARIANCE", "STD", "STDEV"):
-        mean = sums / safe_counts
-        var = np.maximum(sumsqs / safe_counts - mean * mean, 0.0)
-        if name in ("VAR", "VARIANCE"):
-            return np.where(nonempty, var, 0.0)
-        return np.where(nonempty, np.sqrt(var), 0.0)
-    raise KeyError(f"{agg_name!r} is not a moment-based aggregate")

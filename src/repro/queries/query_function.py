@@ -83,6 +83,11 @@ class QueryFunction:
     # --------------------------------------------------------------- protocol
 
     @property
+    def engine(self) -> ExactEngine:
+        """The exact engine (and its sorted index) every call answers through."""
+        return self._engine
+
+    @property
     def dim(self) -> int:
         """Dimensionality ``d`` of the query function's input."""
         return self.predicate.param_dim

@@ -2,11 +2,12 @@
 
 The compiled engine (:mod:`repro.core.compiled`) makes one process fast;
 this package turns it into a servable system. :class:`SketchService` holds
-a registry of named sketches, gathers whatever queries are queued when a
-flush worker comes free into one micro-batch for the compiled
-``predict``, caches answers keyed on quantized query vectors, and exposes
-both async (``cached`` + ``submit_block -> Future``, or ``submit``) and
-blocking (``ask``/``ask_many``) submission. :class:`SketchServer` puts that service on a TCP socket behind
+a registry of named sketches, answers a compiled engine's query blocks in
+the submitting thread (other sketches' blocks gather into micro-batches
+for flush worker threads), caches answers keyed on quantized query
+vectors, and exposes both async (``cached`` + ``submit_block -> Future``,
+or ``submit``) and blocking (``ask``/``ask_many``) submission.
+:class:`SketchServer` puts that service on a TCP socket behind
 the versioned JSON-lines protocol (:mod:`repro.serve.protocol`), with
 :class:`Client` as the matching blocking client. When one process's GIL
 becomes the ceiling, :class:`SketchRouter` shards the same wire protocol

@@ -12,11 +12,14 @@ optional triggers let a worker wait for company first:
 - *deadline* — ``max_delay_s`` has elapsed since the oldest pending block.
 
 The default deadline is ``0``: a query never waits for a batch that may
-not come. Blocking callers don't go through the workers at all:
-:meth:`drain` runs the flush in the calling thread, which is how
-:meth:`SketchService.ask`/``ask_many`` get batch-path throughput (the
-drain still picks up whatever other threads have queued — that *is* the
-micro-batch).
+not come. Callers that can afford to run ``predict`` themselves don't go
+through the workers at all: :meth:`run` and :meth:`drain` flush in the
+calling thread, sweeping up whatever other threads have queued (that *is*
+the micro-batch). Blocking ``SketchService.ask``/``ask_many`` take that
+path, and so does ``SketchService.submit_block`` for a compiled engine
+with no accumulation window. :meth:`stats` counts those caller-run flushes
+apart from the workers' flushes, so a server's ``stats`` frame shows which
+path answered. The worker threads start on the first :meth:`submit` only.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ class MicroBatcher:
         # the flush/row counters track offered load, with ``n_errors``
         # recording how many of those attempts failed.
         self.n_flushes = 0
+        self.n_caller_flushes = 0  # run()/drain()/close() in the calling thread
+        self.n_worker_flushes = 0
         self.n_rows_flushed = 0
         self.max_flush_rows = 0
         self.n_errors = 0
@@ -163,7 +168,7 @@ class MicroBatcher:
         """
         with self._cond:
             batch = self._take_pending_locked()
-        return self._flush(batch)
+        return self._flush(batch, caller=True)
 
     def run(self, Q_block: np.ndarray) -> np.ndarray:
         """Answer ``Q_block`` now, batched with anything already pending.
@@ -184,20 +189,24 @@ class MicroBatcher:
             try:
                 answers = np.asarray(self._predict(Q_block), dtype=np.float64).ravel()
             except Exception:
-                self._count_flush(Q_block.shape[0], failed=True)
+                self._count_flush(Q_block.shape[0], caller=True, failed=True)
                 raise
-            self._count_flush(Q_block.shape[0])
+            self._count_flush(Q_block.shape[0], caller=True)
             return answers
         own: Future = Future()
         batch.append((Q_block, own, False))
-        self._flush(batch)
+        self._flush(batch, caller=True)
         return own.result()
 
     # ---------------------------------------------------------------- worker
 
-    def _count_flush(self, n_rows: int, failed: bool = False) -> None:
+    def _count_flush(self, n_rows: int, caller: bool, failed: bool = False) -> None:
         with self._cond:
             self.n_flushes += 1
+            if caller:
+                self.n_caller_flushes += 1
+            else:
+                self.n_worker_flushes += 1
             self.n_rows_flushed += n_rows
             self.max_flush_rows = max(self.max_flush_rows, n_rows)
             if failed:
@@ -236,9 +245,9 @@ class MicroBatcher:
                         break
                     self._cond.wait(remaining)
                 batch = self._take_pending_locked()
-            self._flush(batch)
+            self._flush(batch, caller=False)
 
-    def _flush(self, batch: list[tuple[np.ndarray, Future, bool]]) -> int:
+    def _flush(self, batch: list[tuple[np.ndarray, Future, bool]], caller: bool) -> int:
         if not batch:
             return 0
         # A caller may have cancelled its Future while it sat in the queue;
@@ -255,12 +264,12 @@ class MicroBatcher:
             Q = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
             answers = np.asarray(self._predict(Q), dtype=np.float64).ravel()
         except Exception as exc:  # propagate to every waiting Future
-            self._count_flush(n_rows, failed=True)
+            self._count_flush(n_rows, caller, failed=True)
             for ok, (_, fut, _) in zip(live, batch):
                 if ok:
                     fut.set_exception(exc)
             return n_rows
-        self._count_flush(n_rows)
+        self._count_flush(n_rows, caller)
         start = 0
         for ok, (block, fut, scalar) in zip(live, batch):
             part = answers[start : start + block.shape[0]]
@@ -283,12 +292,16 @@ class MicroBatcher:
             worker.join(timeout=5.0)
         with self._cond:
             batch = self._take_pending_locked()
-        self._flush(batch)  # anything enqueued between the notify and the join
+        self._flush(batch, caller=True)  # anything enqueued between the notify and the join
 
     def stats(self) -> dict:
+        """Flush counters. ``n_flushes`` is ``n_caller_flushes`` (run in a
+        caller's thread) plus ``n_worker_flushes`` (run by a flush worker)."""
         with self._cond:
             return {
                 "n_flushes": self.n_flushes,
+                "n_caller_flushes": self.n_caller_flushes,
+                "n_worker_flushes": self.n_worker_flushes,
                 "n_rows_flushed": self.n_rows_flushed,
                 "max_flush_rows": self.max_flush_rows,
                 "n_errors": self.n_errors,

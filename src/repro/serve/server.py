@@ -6,12 +6,20 @@ pipeline requests. The read loop decodes every frame inline. A
 single-query frame is answered right there on an answer-cache hit; on a
 miss it joins its sketch's block for the current event-loop iteration,
 and at the end of the iteration each block goes to the sketch's
-micro-batcher in one :meth:`SketchService.submit_block`. When a block
-resolves, one thread-safe callback writes all of its replies, and one
-timer per block enforces the request deadline. The batcher's flush
-workers take whatever is queued when they come free, checking execution
-contexts out of the engine's replica pool (:mod:`repro.core.compiled`),
-so concurrent flushes run in parallel instead of queueing on a lock.
+micro-batcher in one :meth:`SketchService.submit_block`.
+
+A compiled engine with no accumulation window (the shipped flags)
+answers the block right there, on the loop thread: its predict is
+bounded (microseconds per row, at most one iteration's misses), far
+cheaper than a round trip through a flush worker thread, so its replies
+are written at once with no deadline timer and no cross-thread callback.
+Any other block is queued for the batcher's flush workers, which take
+whatever is queued when they come free and check execution contexts out
+of the engine's replica pool (:mod:`repro.core.compiled`), so concurrent
+flushes run in parallel instead of queueing on a lock. When such a
+block resolves, one thread-safe callback writes all of its replies, and
+one timer per block enforces the request deadline.
+
 Every other frame type (batch, stats, epoch, ingest) becomes its own
 asyncio task over a small thread pool, so a slow batch never blocks the
 single queries behind it.
@@ -23,8 +31,9 @@ Robustness contract (exercised by ``tests/test_server.py``):
 - reads are bounded — a line beyond the hard stream limit is discarded
   without buffering it — and so are unsent replies: past
   ``WRITE_BUFFER_BOUND`` bytes the read loop waits for the client to read;
-- every request has a deadline (``request_timeout_s``) and times out into
-  a ``timeout`` error instead of wedging the connection;
+- every request that waits on another thread has a deadline
+  (``request_timeout_s``) and times out into a ``timeout`` error instead
+  of wedging the connection;
 - :meth:`stop` with ``drain=True`` answers everything in flight before
   closing — no request is dropped.
 
@@ -103,6 +112,9 @@ class SketchServer:
     request_timeout_s:
         Deadline per request, measured from decode to answer. Misses
         resolve to a ``timeout`` error and cancel the pending Future.
+        Single queries answered on the loop thread (a compiled engine
+        with no accumulation window) finish before any deadline could
+        fire.
     """
 
     def __init__(
@@ -344,10 +356,14 @@ class SketchServer:
             if block.done.done():  # cancelled by stop(drain=False)
                 continue
             try:
-                block.future = self.service.submit_block(np.stack(block.rows), block.sketch)
+                fut = self.service.submit_block(np.stack(block.rows), block.sketch)
             except Exception as exc:
                 self._fail(block, exc)
                 continue
+            if fut.done():  # answered in this thread: nothing to wait for
+                self._on_answers(block, fut)
+                continue
+            block.future = fut
             block.timer = self._loop.call_later(
                 self.request_timeout_s, self._fail, block, TimeoutError()
             )

@@ -7,15 +7,25 @@ The façade a server embeds (and what ``repro serve`` runs):
   :class:`~repro.core.neurosketch.NeuroSketch`, or any
   :class:`repro.api.Estimator`;
 - per-sketch micro-batching (:class:`~repro.serve.batching.MicroBatcher`):
-  whatever is queued when a flush worker comes free runs through one
-  compiled ``predict``, so batches form while the workers are busy;
+  whatever is queued when a flush runs goes through one ``predict``;
 - a per-sketch answer cache (:class:`~repro.serve.cache.AnswerCache`)
   keyed on quantized query vectors;
 - async submission in two calls: :meth:`cached` probes the cache and
-  :meth:`submit_block` queues a block of misses whose answers fill the
-  cache when it resolves. The socket server gathers one block per event
-  loop iteration from them; :meth:`submit` is the one-query form of the
-  pair, and :meth:`ask`/:meth:`ask_many` the blocking convenience layer.
+  :meth:`submit_block` answers a block of misses, whose answers fill the
+  cache. The socket server gathers one block per event loop iteration
+  from them; :meth:`submit` is the one-query form of the pair, and
+  :meth:`ask`/:meth:`ask_many` the blocking convenience layer.
+
+Where a block is answered depends on the sketch. A compiled engine (a
+:class:`~repro.core.compiled.CompiledSketch`, or a
+:class:`~repro.stream.sketch.StreamingSketch`, which serves through one)
+with no accumulation window (``max_delay_s == 0``, the default) answers
+in the submitting thread: a compiled predict costs microseconds per row,
+far less than handing the block to a flush worker thread and the answer
+back, so :meth:`submit_block` runs the batcher's caller-runs flush and
+returns an already-resolved Future. Any other sketch, whose ``predict``
+may take arbitrarily long, and any ``max_delay_s > 0`` queue the block
+for the batcher's flush workers, and the caller's deadline applies.
 
 With the cache disabled, :meth:`ask_many` hands the *exact* query array to
 the sketch's ``predict`` in one flush, so its answers are bitwise-equal to
@@ -120,7 +130,7 @@ class _Entry:
     per-sketch cache uses the empty namespace.
     """
 
-    __slots__ = ("name", "sketch", "batcher", "cache", "cache_ns")
+    __slots__ = ("name", "sketch", "batcher", "cache", "cache_ns", "inline")
 
     def __init__(
         self,
@@ -129,12 +139,25 @@ class _Entry:
         batcher: MicroBatcher,
         cache: AnswerCache | None,
         cache_ns: bytes = b"",
+        inline: bool = False,
     ):
         self.name = name
         self.sketch = sketch
         self.batcher = batcher
         self.cache = cache
         self.cache_ns = cache_ns
+        #: Answer submitted blocks in the submitting thread (see the module
+        #: docstring) instead of queueing them for a flush worker.
+        self.inline = inline
+
+
+def _is_compiled(sketch) -> bool:
+    """Does ``sketch`` answer through the compiled engine (bounded
+    microseconds per row, thread-safe)?"""
+    from repro.core.compiled import CompiledSketch
+    from repro.stream.sketch import StreamingSketch
+
+    return isinstance(sketch, (CompiledSketch, StreamingSketch))
 
 
 class SketchService:
@@ -144,7 +167,9 @@ class SketchService:
     ----------
     max_batch_size, max_delay_s:
         Micro-batching triggers (see :class:`MicroBatcher`). The default
-        ``max_delay_s=0`` never holds a query back for company. Pass
+        ``max_delay_s=0`` never holds a query back for company, and lets a
+        compiled sketch answer async submissions in the submitting thread
+        (see the module docstring). Pass
         ``"auto"`` to derive each sketch's flush threshold from its
         engine's observed segment-size distribution
         (:meth:`~repro.core.compiled.CompiledSketch.segment_stats`);
@@ -166,11 +191,13 @@ class SketchService:
         bitwise-identical to the caller's own ``predict``.
     workers:
         Flush worker threads per registered sketch (see
-        :class:`MicroBatcher`). With a compiled sketch, each concurrent
-        flush checks its own execution context out of the engine's replica
-        pool, so N workers mean up to N predicts genuinely in parallel;
-        registration raises the engine's ``max_replicas`` to at least this
-        many so the workers never starve.
+        :class:`MicroBatcher`); they serve async submissions to a
+        non-compiled sketch, or to any sketch when ``max_delay_s > 0``.
+        With a compiled sketch, each concurrent flush checks its own
+        execution context out of the engine's replica pool, so N workers
+        mean up to N predicts genuinely in parallel; registration raises
+        the engine's ``max_replicas`` to at least this many so the workers
+        never starve.
     allow_mutations:
         ``True`` lets :meth:`ingest` mutate registered streaming sketches
         (what ``repro serve --mutable`` sets). The default ``False``
@@ -268,7 +295,8 @@ class SketchService:
             workers=self.workers,
             segment_hint=segment_hint,
         )
-        self._entries[key] = _Entry(key, sketch, batcher, cache, cache_ns)
+        inline = self.max_delay_s == 0 and _is_compiled(sketch)
+        self._entries[key] = _Entry(key, sketch, batcher, cache, cache_ns, inline)
         if default or self._default is None:
             self._default = key
 
@@ -304,18 +332,36 @@ class SketchService:
     def submit_block(
         self, Q: np.ndarray, sketch: str | None = None, scalar: bool = False
     ) -> Future:
-        """Queue ``(m, d)`` queries as one micro-batch block.
+        """Answer ``(m, d)`` queries as one micro-batch block.
 
         The Future resolves to the ``(m,)`` answers (a ``float`` with
         ``scalar=True`` and one row) and carries ``cached = False``. The
         cache is not probed — call :meth:`cached` first — but the answers
         fill it when the block resolves.
+
+        A compiled sketch with no accumulation window answers here, in the
+        calling thread, through the batcher's caller-runs flush (which also
+        sweeps up anything already queued), and the returned Future is
+        already done; a failed predict is set as its exception. Otherwise
+        the block is queued for the batcher's flush workers.
         """
         entry = self._entry(sketch)
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+        cache, namespace = entry.cache, entry.cache_ns
+        if entry.inline and Q.shape[0]:
+            fut: Future = Future()
+            fut.cached = False
+            try:
+                answers = entry.batcher.run(Q)
+            except Exception as exc:
+                fut.set_exception(exc)
+                return fut
+            if cache is not None:
+                cache.put_many(Q, answers, namespace)
+            fut.set_result(float(answers[0]) if scalar else answers)
+            return fut
         fut = entry.batcher.submit(Q, scalar=scalar)
         fut.cached = False
-        cache, namespace = entry.cache, entry.cache_ns
         if cache is not None:
 
             def _store(done: Future) -> None:

@@ -19,9 +19,10 @@ so the worker — not the router — does all JSON decode/encode work, which
 is exactly the Python-bound cost that sharding distributes. Responses
 therefore carry the client's own request ``id`` untouched.
 
-A pool of handler threads answers frames concurrently, so single-query
-frames arriving back to back land in the same micro-batch window just as
-they do in the single-process server. EOF on stdin drains the service and
+A pool of handler threads answers frames concurrently. A compiled sketch
+answers a single-query frame in its handler thread (the same caller-runs
+path the single-process server takes); for any other sketch, frames
+arriving back to back land in the same micro-batch window. EOF on stdin drains the service and
 exits 0; the first line written is the ``READY`` handshake the router
 waits for before forwarding traffic.
 
@@ -146,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--infer-dtype", choices=("float32", "float64"), default=None,
                         help="execution tier (default: the artifact's recorded tier)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="micro-batch flush workers inside this process")
+                        help="micro-batch flush workers inside this process "
+                             "(unused by a compiled sketch unless "
+                             "--max-delay-ms > 0: frame handler threads answer "
+                             "it themselves)")
     parser.add_argument("--max-batch", type=_parse_max_batch, default=64,
                         help="micro-batch flush trigger (an integer or 'auto')")
     parser.add_argument("--max-delay-ms", type=float, default=0.0)

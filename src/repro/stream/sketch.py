@@ -167,6 +167,9 @@ class StreamingSketch:
             "canonical": canonical,
             "epoch": int(epoch),
             "data_version": int(data_version),
+            # (ExactEngine over the live rows, store.n_total it covers):
+            # built on first use, extended by appends, dropped by deletes.
+            "labels": None,
         }
         self._y_snapshot = (
             self.y_train.copy()
@@ -380,6 +383,8 @@ class StreamingSketch:
         with self._lock:
             Xn = self.store.delete(lo_raw, hi_raw)
             k = Xn.shape[0]
+            if k:
+                self._mut["labels"] = None  # rebuilt over the live rows on next use
             raw = self.store.scaler.inverse_transform(Xn) if k else Xn
             measure = raw[:, self.store.measure_index] if k else np.empty(0)
             return self._apply(
@@ -553,10 +558,31 @@ class StreamingSketch:
                 )
                 self.y_train[q_idx[start:stop]] += match @ weights
         else:
-            engine = ExactEngine(self.store.live_X, self.store.live_measure)
-            self.y_train[q_idx] = engine.answer(
+            self.y_train[q_idx] = self._label_engine().answer(
                 self.predicate, self.Q_train[q_idx], self.aggregate
             )
+
+    def _label_engine(self) -> ExactEngine:
+        """An exact engine over the live rows, kept across appends.
+
+        Rows appended since it was built are merged into its index
+        (:meth:`ExactEngine.extend`), which is bitwise equal to indexing
+        the live rows afresh; only after a delete is it rebuilt. Lock held.
+        """
+        store = self.store
+        held = self._mut["labels"]
+        if held is None:
+            engine = ExactEngine(store.live_X, store.live_measure)
+        else:
+            engine, n_total = held
+            if store.n_total > n_total:
+                # No delete since it was built, so every later row is live.
+                rows = store.appended_raw[n_total - store.base_raw.shape[0] :]
+                engine = engine.extend(
+                    store.scaler.transform(rows), rows[:, store.measure_index]
+                )
+        self._mut["labels"] = (engine, store.n_total)
+        return engine
 
     def _drift(self, leaf: int) -> float:
         """Relative label drift of a leaf since its last retrain."""

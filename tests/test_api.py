@@ -105,7 +105,10 @@ def test_baseline_estimator_wrapper_warns_and_delegates(problem):
     est.fit(qf, Q, y)
     np.testing.assert_allclose(est.predict(Q), y)
     assert est.predict_one(Q[0]) == pytest.approx(y[0])
-    assert est.num_bytes() == qf.dataset.size_bytes()
+    # The sorted index: X transposed, int64 argsort and sorted keys per
+    # attribute, plus the measure copy.
+    n, d = qf.dataset.X.shape
+    assert est.num_bytes() == (3 * d + 1) * n * 8
 
 
 def test_register_estimator_round_trip():

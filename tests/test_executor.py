@@ -6,7 +6,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.queries import AxisRangePredicate, QueryFunction, WorkloadGenerator
-from repro.queries.aggregates import MOMENT_AGGREGATES, get_aggregate, moment_aggregate_batch
+from repro.queries.aggregates import get_aggregate
 from repro.queries.executor import ExactEngine
 
 
@@ -68,6 +68,26 @@ def _random_bounds(rng, m, d):
     lo = rng.uniform(0.0, 0.7, size=(m, d))
     hi = lo + rng.uniform(0.05, 0.3, size=(m, d))
     return lo, np.minimum(hi, 1.0)
+
+
+#: Aggregates the oracle answers from per-query (count, sum, sum of squares).
+MOMENT_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "STD", "VAR"})
+
+
+def moment_aggregate_batch(agg_name, counts, sums, sumsqs):
+    """The former executor's moment formula: VAR/STD as E[x^2] - E[x]^2.
+    Empty queries yield 0 for every aggregate."""
+    nonempty = counts > 0
+    safe_counts = np.where(nonempty, counts, 1.0)
+    if agg_name == "COUNT":
+        return counts.copy()
+    if agg_name == "SUM":
+        return np.where(nonempty, sums, 0.0)
+    mean = sums / safe_counts
+    if agg_name == "AVG":
+        return np.where(nonempty, mean, 0.0)
+    var = np.maximum(sumsqs / safe_counts - mean * mean, 0.0)
+    return np.where(nonempty, var if agg_name == "VAR" else np.sqrt(var), 0.0)
 
 
 def _blocked_gemm_oracle(X, measure, lo, hi, aggregate, block_cells=8_000_000):
@@ -147,11 +167,10 @@ def test_sorted_index_matches_blocked_gemm_oracle(wide, agg):
     got = ExactEngine(X, measure).answer_bounds(lo, hi, aggregate)
     # Small blocks so the oracle itself crosses block boundaries.
     expected = _blocked_gemm_oracle(X, measure, lo, hi, aggregate, block_cells=64 * 3000)
-    # Both engines take STD/VAR as E[x^2] - E[x]^2, which cancels when a
-    # box's spread is small against its mean: the last-ulp difference of two
-    # summation orders then shows element-wise (1.5e-12 relative for one box
-    # here, std 0.035 around a mean near 5). Those two compare at 1e-12 of
-    # the batch's largest answer instead.
+    # The oracle takes STD/VAR as E[x^2] - E[x]^2, which cancels when a box's
+    # spread is small against its mean (one box here has std 0.035 around a
+    # mean near 5); the engine takes two passes. Those two compare at 1e-12
+    # of the batch's largest answer instead.
     atol = 1e-12 * np.max(np.abs(expected)) if agg in ("STD", "VAR") else 0.0
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
     if agg == "COUNT":
@@ -238,9 +257,9 @@ def test_one_dimensional_end_to_end_dataset():
 # ------------------------------------------------- sorted-index edge cases
 
 #: Aggregates the naive loop computes the same way from the same rows in the
-#: same ascending order, so the two must agree bitwise. STD differs: the
-#: engine uses the moment formula, the naive loop numpy's two-pass std.
-_EQUAL_AGGS = ("COUNT", "SUM", "AVG", "MEDIAN", "P90", "MIN", "MAX")
+#: same ascending order, so the two must agree bitwise (STD/VAR included:
+#: both take numpy's two passes).
+_EQUAL_AGGS = ("COUNT", "SUM", "AVG", "STD", "VAR", "MEDIAN", "P90", "MIN", "MAX")
 
 
 def _naive_bounds(X, measure, lo, hi, agg):
@@ -251,15 +270,12 @@ def _naive_bounds(X, measure, lo, hi, agg):
     )
 
 
-def _check_against_naive(X, measure, lo, hi, aggs=_EQUAL_AGGS + ("STD",)):
+def _check_against_naive(X, measure, lo, hi):
     engine = ExactEngine(X, measure)
-    for agg in aggs:
+    for agg in _EQUAL_AGGS:
         got = engine.answer_bounds(lo, hi, agg)
         expected = _naive_bounds(X, measure, lo, hi, agg)
-        if agg in _EQUAL_AGGS:
-            np.testing.assert_array_equal(got, expected, err_msg=agg)
-        else:
-            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10, err_msg=agg)
+        np.testing.assert_array_equal(got, expected, err_msg=agg)
 
 
 def test_box_includes_rows_on_lo_and_excludes_rows_on_hi():
@@ -376,6 +392,73 @@ def test_rows_appended_outside_every_box_leave_answers_bitwise_unchanged():
         np.testing.assert_array_equal(
             after.answer_bounds(lo, hi, agg), before.answer_bounds(lo, hi, agg), err_msg=agg
         )
+
+
+def test_var_and_std_do_not_cancel_on_a_large_mean_tiny_spread_box():
+    """A box whose values sit near 1e6 with a spread of ~3e-3: E[x^2] - E[x]^2
+    loses every digit there, the two-pass answer matches an exact-sum
+    two-pass reference."""
+    import math
+
+    rng = np.random.default_rng(41)
+    X = rng.uniform(0.0, 1.0, size=(3000, 2))
+    measure = 1e6 + rng.uniform(0.0, 1e-2, size=3000)
+    lo = np.array([[0.1, 0.2], [0.0, 0.0], [0.5, 0.05]])
+    hi = np.array([[0.6, 0.9], [1.0, 1.0], [0.6, 0.25]])
+    engine = ExactEngine(X, measure)
+    for k in range(lo.shape[0]):
+        values = measure[np.all((X >= lo[k]) & (X < hi[k]), axis=1)].tolist()
+        assert len(values) > 20
+        mean = math.fsum(values) / len(values)
+        var = math.fsum((v - mean) ** 2 for v in values) / len(values)
+        got_var = engine.answer_bounds(lo[k : k + 1], hi[k : k + 1], "VAR")[0]
+        got_std = engine.answer_bounds(lo[k : k + 1], hi[k : k + 1], "STD")[0]
+        assert got_var == pytest.approx(var, rel=1e-12, abs=0.0)
+        assert got_std == pytest.approx(math.sqrt(var), rel=1e-12, abs=0.0)
+        # The moment formula on the same rows is off by orders of magnitude.
+        n, total = len(values), math.fsum(values)
+        squares = float(np.dot(values, values))
+        moment = moment_aggregate_batch("VAR", np.array([n]), np.array([total]), np.array([squares]))
+        assert abs(moment[0] - var) > 0.5 * var
+
+
+def _index_arrays(engine):
+    return (engine._XT, engine._order, engine._keys, engine.measure)
+
+
+def test_extend_is_bitwise_equal_to_a_fresh_engine():
+    """Appended rows merged into the sort orders give the same index, byte
+    for byte, as sorting the grown data afresh, heavy key ties included."""
+    rng = np.random.default_rng(43)
+    X = rng.integers(0, 8, size=(400, 3)) / 8.0  # many equal keys
+    measure = rng.uniform(-5.0, 5.0, size=400)
+    cuts = [0, 1, 150, 150, 151, 320, 400]  # empty, one-row and bulk appends
+    engine = ExactEngine(X[:1], measure[:1])
+    for a, b in zip(cuts[1:], cuts[2:]):
+        before = [arr.copy() for arr in _index_arrays(engine)]
+        grown = engine.extend(X[a:b], measure[a:b])
+        for arr, was in zip(_index_arrays(engine), before):
+            np.testing.assert_array_equal(arr, was)  # the old engine is untouched
+        engine = grown
+        fresh = ExactEngine(X[:b], measure[:b])
+        for got, want in zip(_index_arrays(engine), _index_arrays(fresh)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert engine.num_bytes() == fresh.num_bytes()
+    lo, hi = _random_bounds(rng, 80, 3)
+    for agg in ("COUNT", "AVG", "STD", "MEDIAN"):
+        np.testing.assert_array_equal(
+            engine.answer_bounds(lo, hi, agg), fresh.answer_bounds(lo, hi, agg), err_msg=agg
+        )
+    with pytest.raises(ValueError, match="columns"):
+        engine.extend(np.zeros((2, 2)), np.zeros(2))
+
+
+def test_num_bytes_counts_the_whole_index():
+    X = np.random.default_rng(47).uniform(size=(250, 4))
+    engine = ExactEngine(X, X[:, 0])
+    assert engine.num_bytes() == (3 * 4 + 1) * 250 * 8
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -582,6 +583,149 @@ def test_register_raises_engine_max_replicas_to_worker_count(golden_compiled):
         stats = svc.stats("golden")
         assert stats["engine"]["max_replicas"] == 6
         assert stats["batcher"]["workers"] == 6
+
+
+# ------------------------------------------- compiled engines: caller-runs path
+
+
+def _new_batcher_threads(before):
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("repro-microbatcher") and t not in before
+    ]
+
+
+@pytest.mark.parametrize("tier", ["float32", "float64"])
+def test_compiled_submit_answers_in_the_calling_thread(golden_compiled, tier):
+    """With no accumulation window a compiled engine answers a submitted
+    block right away: the Future is already done, bitwise equal to the
+    one-row predict, the flush is counted on the caller path, the cache is
+    filled, and no flush worker thread ever starts."""
+    engine = golden_compiled.with_dtype(tier)
+    Q = np.random.default_rng(21).uniform(size=(12, engine.input_dim))
+    before = set(threading.enumerate())
+    with SketchService(workers=4) as svc:
+        svc.register("golden", engine)
+        futs = [svc.submit(q) for q in Q]
+        assert all(f.done() and f.cached is False for f in futs)
+        got = np.array([f.result(timeout=0) for f in futs])
+        assert got.tobytes() == np.array([engine.predict(q[None])[0] for q in Q]).tobytes()
+        block = svc.submit_block(Q[:5])
+        assert block.done()
+        assert block.result(timeout=0).tobytes() == engine.predict(Q[:5]).tobytes()
+        assert all(svc.submit(q).cached for q in Q)  # the answers filled the cache
+        batcher = svc.stats()["batcher"]
+        assert batcher["n_caller_flushes"] == batcher["n_flushes"] == 13
+        assert batcher["n_worker_flushes"] == 0
+        assert _new_batcher_threads(before) == []
+
+
+def test_concurrent_compiled_submitters_each_run_their_own_flush(golden_compiled):
+    """More submitting threads than cores, switching often: every caller
+    gets its own one-row answer and no flush goes uncounted."""
+    import sys
+
+    engine = golden_compiled.with_dtype("float32")
+    Q = np.random.default_rng(25).uniform(size=(8, 50, engine.input_dim))
+    got = np.zeros(Q.shape[:2])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SketchService(cache=False) as svc:
+            svc.register("golden", engine)
+
+            def submitter(t):
+                for i, q in enumerate(Q[t]):
+                    got[t, i] = svc.submit(q).result(timeout=0)
+
+            threads = [threading.Thread(target=submitter, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            batcher = svc.stats()["batcher"]
+    finally:
+        sys.setswitchinterval(interval)
+    want = np.array([[engine.predict(q[None])[0] for q in rows] for rows in Q])
+    assert got.tobytes() == want.tobytes()
+    assert batcher["n_caller_flushes"] == batcher["n_flushes"] == batcher["n_rows_flushed"] == 400
+
+
+def test_compiled_submit_reports_predict_errors_through_the_future(golden_compiled):
+    with SketchService(cache=False) as svc:
+        svc.register("golden", golden_compiled)
+        fut = svc.submit_block(np.zeros((2, golden_compiled.input_dim + 3)))
+        assert fut.done() and fut.exception() is not None
+        assert svc.stats()["batcher"]["n_errors"] == 1
+
+
+def test_streaming_sketch_submit_answers_in_the_calling_thread():
+    from test_stream import small_sketch
+
+    sketch = small_sketch()
+    Q = np.random.default_rng(22).uniform(size=(6, 2))
+    with SketchService(cache=False) as svc:
+        svc.register("stream", sketch)
+        futs = [svc.submit(q) for q in Q]
+        assert all(f.done() for f in futs)
+        assert [f.result() for f in futs] == [sketch.predict(q[None])[0] for q in Q]
+        assert svc.stats()["batcher"]["n_worker_flushes"] == 0
+
+
+def test_accumulation_window_keeps_compiled_engines_on_the_workers(golden_compiled):
+    Q = np.random.default_rng(23).uniform(size=(4, golden_compiled.input_dim))
+    with SketchService(cache=False, max_delay_s=1e-3) as svc:
+        svc.register("golden", golden_compiled)
+        got = [svc.submit(q).result(timeout=5.0) for q in Q]
+        np.testing.assert_allclose(got, golden_compiled.predict(Q), rtol=1e-12)
+        batcher = svc.stats()["batcher"]
+        assert batcher["n_worker_flushes"] >= 1 and batcher["n_caller_flushes"] == 0
+
+
+def test_slow_non_compiled_sketch_times_out_with_no_accumulation_window():
+    """A sketch that is not a compiled engine may take any time, so even at
+    ``max_delay_s=0`` its block goes to a flush worker and the caller's
+    deadline holds."""
+
+    class Slow(SumSketch):
+        def predict(self, Q):
+            time.sleep(1.0)
+            return super().predict(Q)
+
+    with SketchService(cache=False, max_delay_s=0.0) as svc:
+        svc.register("slow", Slow())
+        t0 = time.perf_counter()
+        fut = svc.submit(np.array([1.0, 2.0]))
+        assert time.perf_counter() - t0 < 0.5 and not fut.done()
+        with pytest.raises(futures.TimeoutError):
+            fut.result(timeout=0.1)
+        assert fut.result(timeout=5.0) == 3.0
+        assert svc.stats()["batcher"]["n_worker_flushes"] == 1
+
+
+def test_stdio_serve_answers_on_the_caller_path(capsys, monkeypatch):
+    """``repro serve`` over stdin runs single queries through the same
+    caller-runs path: bitwise equal to the one-row predict, no worker
+    flushes."""
+    import io
+    import json
+
+    from repro.cli import main
+
+    path = str(DATA / "golden_sketch.json.gz")
+    engine = load_sketch(path, dtype="float32")
+    Q = np.random.default_rng(24).uniform(size=(5, engine.input_dim))
+    lines = [json.dumps({"v": 1, "op": "query", "id": i, "q": q.tolist()}) for i, q in enumerate(Q)]
+    lines.append(json.dumps({"v": 1, "op": "stats", "id": "s"}))
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["serve", "--sketch", path]) == 0
+    out = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    answers = np.array([frame["answer"] for frame in out[:5]])
+    assert answers.tobytes() == np.array([engine.predict(q[None])[0] for q in Q]).tobytes()
+    batcher = out[5]["stats"]["batcher"]
+    assert batcher["n_caller_flushes"] == 5 and batcher["n_worker_flushes"] == 0
 
 
 # ---------------------------------------------------------------- dtype tiers

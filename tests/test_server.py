@@ -345,6 +345,100 @@ def test_sequential_wire_queries_equal_one_row_predict_bitwise(golden_compiled):
     assert np.asarray(wire).tobytes() == np.asarray(local).tobytes()
 
 
+@pytest.mark.parametrize("tier", ["float32", "float64"])
+def test_compiled_wire_answers_come_from_the_caller_path(golden_compiled, tier):
+    """Under the shipped flags a compiled engine answers single queries on
+    the server's loop thread: each reply is bitwise equal to the one-row
+    predict, ``stats`` shows only caller-run flushes, and no flush worker
+    thread starts."""
+    engine = golden_compiled.with_dtype(tier)
+    Q = np.random.default_rng(9).uniform(size=(16, engine.input_dim))
+    before = set(threading.enumerate())
+    svc = SketchService(workers=4)  # the CLI defaults: max_delay_s=0, cache on
+    svc.register("golden", engine)
+    handle = start_server_thread(svc)
+    try:
+        with Client.connect(handle.address) as client:
+            wire = [client.ask(q) for q in Q]
+            pipelined = read_replies(client, len(send_pipelined(client, Q[::-1], 100)))
+            batch = client.ask_many(Q[:4])
+            stats = client.stats()
+    finally:
+        handle.stop()
+        svc.close()
+    assert np.asarray(wire).tobytes() == np.array([engine.predict(q[None])[0] for q in Q]).tobytes()
+    assert all(r.cached for r in pipelined.values())  # the first pass filled the cache
+    assert list(batch) == wire[:4]
+    assert stats["batcher"]["n_caller_flushes"] == stats["batcher"]["n_flushes"] == 16
+    assert stats["batcher"]["n_worker_flushes"] == 0
+    assert not [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("repro-microbatcher") and t not in before
+    ]
+
+
+def test_slow_sketch_times_out_with_no_accumulation_window():
+    """``max_delay_s=0`` only moves compiled engines onto the loop thread; a
+    slow sketch of any other kind still meets the request deadline."""
+    svc = SketchService(cache=False, max_delay_s=0.0)
+    svc.register("slow", SlowSketch(delay_s=2.0))
+    handle = start_server_thread(svc, request_timeout_s=0.2)
+    try:
+        with Client.connect(handle.address) as client:
+            t0 = time.perf_counter()
+            with pytest.raises(ServerError) as excinfo:
+                client.ask([1.0])
+            assert excinfo.value.code == "timeout"
+            # The loop thread was free to fire the deadline: the predict ran
+            # on a flush worker.
+            assert time.perf_counter() - t0 < 1.5
+    finally:
+        handle.stop()
+        svc.close()
+
+
+def test_queries_pipelined_before_an_ingest_see_pre_ingest_data(tmp_path):
+    """Single queries sent ahead of an ingest on one connection are answered
+    from the data before it, even though the ingest retrains and swaps."""
+    from test_stream import rows_near, small_sketch
+
+    from repro.serve import protocol
+    from repro.serve.protocol import IngestRequest, QueryRequest
+    from repro.stream import load_stream_sketch
+
+    sketch = small_sketch()
+    bundle = str(tmp_path / "bundle.npz")
+    sketch.save_npz(bundle)
+    twin = load_stream_sketch(bundle)
+    rng = np.random.default_rng(32)
+    Q = np.clip(0.35 + rng.uniform(-0.2, 0.2, size=(40, 2)), 0.0, 1.0)
+    rows = rows_near(sketch, np.array([0.5, 0.5]), k=6, seed=60)
+    svc = SketchService(cache=False, allow_mutations=True)
+    svc.register("stream", sketch)
+    handle = start_server_thread(svc)
+    try:
+        with Client.connect(handle.address) as client:
+            ingest = protocol.encode(IngestRequest(rows=tuple(map(tuple, rows)), id="ingest"))
+            queries = [
+                protocol.encode(QueryRequest(q=tuple(map(float, q)), id=i))
+                for i, q in enumerate(Q)
+            ]
+            client._require_open().sendall(("\n".join(queries + [ingest]) + "\n").encode())
+            replies = read_replies(client, len(Q) + 1)
+    finally:
+        handle.stop()
+        svc.close()
+    assert replies["ingest"].ingest["swapped"]
+    pre = twin.predict(Q)
+    twin.append(rows)
+    post = twin.predict(Q)
+    wire = np.array([replies[i].answer for i in range(len(Q))])
+    tol = 1e-5 * np.max(np.abs(pre))
+    assert np.max(np.abs(post - pre)) > 100 * tol  # the ingest moved these answers
+    np.testing.assert_allclose(wire, pre, rtol=0.0, atol=tol)
+
+
 def test_unread_replies_stay_bounded_in_server_memory(sum_server):
     """A client that pipelines without reading stalls its own read loop
     instead of piling replies up in the server."""

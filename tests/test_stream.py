@@ -116,6 +116,47 @@ def test_avg_labels_rescan_the_live_data():
     np.testing.assert_array_equal(sketch.y_train, rescan)
 
 
+def test_avg_label_engine_is_extended_by_appends_and_rebuilt_after_deletes(monkeypatch):
+    """Appends merge into the kept label engine instead of re-indexing every
+    live row; its index and the labels stay bitwise equal to a fresh engine
+    over the live rows. A delete drops it, and the next refresh rebuilds."""
+    from repro.queries import executor
+
+    sketch = small_sketch(policy=MaintenancePolicy(**NEVER), aggregate="AVG")
+    built = []
+    original = executor.ExactEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    def check_against_fresh():
+        held, n_total = sketch._mut["labels"]
+        assert n_total == sketch.store.n_total
+        fresh = ExactEngine(sketch.store.live_X, sketch.store.live_measure)
+        for got, want in zip(
+            (held._XT, held._order, held._keys, held.measure),
+            (fresh._XT, fresh._order, fresh._keys, fresh.measure),
+        ):
+            assert got.tobytes() == want.tobytes()
+        rescan = fresh.answer(sketch.predicate, sketch.Q_train, sketch.aggregate)
+        np.testing.assert_array_equal(sketch.y_train, rescan)
+
+    monkeypatch.setattr(executor.ExactEngine, "__init__", counting_init)
+    sketch.append(rows_near(sketch, np.array([0.6, 0.4]), k=20, seed=1))
+    assert len(built) == 1  # the first refresh indexes the live rows once
+    sketch.append(np.array([[-50.0, -999.0]]))  # dirties nothing, still indexed
+    sketch.append(rows_near(sketch, np.array([0.2, 0.8]), k=7, seed=2))
+    assert len(built) == 1
+    check_against_fresh()
+    built.clear()
+    sketch.delete(np.array([5.0, 50.0]), np.array([9.0, 90.0]))
+    assert len(built) == 1 and sketch._mut["labels"] is not None
+    sketch.append(rows_near(sketch, np.array([0.4, 0.6]), k=9, seed=3))
+    assert len(built) == 1
+    check_against_fresh()
+
+
 # ---------------------------------------------------------- policy + retrain
 
 
