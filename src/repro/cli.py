@@ -572,7 +572,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             return _operator_error(exc)
         print(json.dumps(summary, sort_keys=True))
         return 0
-    from repro.stream import load_stream_sketch
+    from repro.stream.sketch import load_stream_sketch, summarize
 
     try:
         sketch = load_stream_sketch(args.sketch)
@@ -585,17 +585,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         sketch.save_npz(out)
     except (OSError, ValueError, EOFError) as exc:
         return _operator_error(exc)
-    summary = {
-        "op": "+".join(r.op for r in results),
-        "appended": sum(r.appended for r in results),
-        "deleted": sum(r.deleted for r in results),
-        "dirty_leaves": sorted({l for r in results for l in r.dirty_leaves}),
-        "retrained_leaves": sorted({l for r in results for l in r.retrained_leaves}),
-        "swapped": any(r.swapped for r in results),
-        "epoch": results[-1].epoch,
-        "data_version": results[-1].data_version,
-    }
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summarize(results), sort_keys=True))
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

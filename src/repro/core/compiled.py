@@ -1326,6 +1326,9 @@ class CompiledSketch:
         (mixed-architecture sketches go through :meth:`from_sketch` instead).
         ``pad_widths`` is the SIMD-padding knob handed to the leaf group
         (see :data:`SIMD_LANES`); canonical weights stay unpadded either way.
+        The engine takes the stack's weight tensors as its canonical
+        weights without copying them, so the caller must not train or
+        write the stack afterwards.
         """
         resolve_dtype(dtype)
         flat = tree if isinstance(tree, FlatTree) else FlatTree.from_tree(tree)
@@ -1352,8 +1355,8 @@ class CompiledSketch:
         group = _LeafGroup(
             list(stacked.layer_sizes),
             leaf_ids,
-            [w.copy() for w in stacked.W],
-            [bias.copy() for bias in stacked.b],
+            list(stacked.W),
+            list(stacked.b),
             x_mean,
             x_scale,
             y_mean,

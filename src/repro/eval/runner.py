@@ -611,8 +611,8 @@ def _bench_stream(ds, workload, Q_train, Q_test, config) -> tuple[dict, object]:
     goes dirty, then measures the three phases the subsystem separates:
 
     - *apply* — dirty marking + exact label refresh, no training;
-    - *incremental retrain* — the dirty slots only, every clean slot frozen
-      through the stacked fit (:meth:`retrain_pending`);
+    - *incremental retrain* — a stacked fit of the dirty slots alone, clean
+      slots carried over as they are (:meth:`retrain_pending`);
     - *full rebuild* — every leaf retrained from scratch on the same
       post-mutation labels (:meth:`rebuild`), the baseline a non-streaming
       deployment would pay.

@@ -26,6 +26,11 @@ Leaves may have different training-set sizes; each leaf keeps its own batch
 size ``min(batch_size, n_l)`` and batch count, exactly as the sequential
 loop would, and leaves that run out of batches within an epoch simply skip
 the remaining optimizer steps of that epoch.
+
+Every model handed to :meth:`StackedTrainer.fit` trains. The streaming
+retrain (:mod:`repro.stream.sketch`) stacks only the leaves an ingest
+dirtied, so its optimizer moments, scratch and best-parameter copies — and
+its time — scale with the number of dirty leaves, not with the sketch.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class StackedMLP:
 
     ``W[l]`` has shape ``(L, fan_in, fan_out)`` and ``b[l]`` shape
     ``(L, fan_out)``. Forward/backward operate on a *subset* of leaves
-    (``leaf_idx``) so frozen leaves cost nothing.
+    (``leaf_idx``) so early-stopped leaves cost nothing.
     """
 
     def __init__(self, layer_sizes: list[int], W: list[np.ndarray], b: list[np.ndarray]) -> None:
@@ -377,17 +382,13 @@ class StackedTrainer:
         Qs: list[np.ndarray],
         ys: list[np.ndarray],
         seeds: list[int] | None = None,
-        frozen: np.ndarray | None = None,
     ) -> StackedTrainResult:
         """Train every ``models[l]`` to map ``Qs[l]`` to ``ys[l]`` in place.
 
         ``seeds[l]`` drives leaf ``l``'s batch shuffling (defaults to the
-        config seed for every leaf). ``frozen`` is an optional boolean mask
-        over leaf slots: a slot marked frozen enters the early-stopping
-        freeze state *before* epoch 0, so it never trains and leaves with
-        its initial weights intact (its history stays empty). The streaming
-        maintenance path uses this to carry clean leaves through a retrain
-        batch while only dirty slots step. Returns a
+        config seed for every leaf). Every model trains: the streaming
+        retrain passes only the leaves it refits, so the optimizer state
+        and best-parameter copies here scale with that count. Returns a
         :class:`StackedTrainResult`.
         """
         cfg = self.config
@@ -433,12 +434,7 @@ class StackedTrainer:
         best_loss = np.full(L, np.inf)
         best_params = [p.copy() for p in params]
         stall = np.zeros(L, dtype=np.int64)
-        if frozen is None:
-            frozen = np.zeros(L, dtype=bool)
-        else:
-            frozen = np.array(frozen, dtype=bool).ravel()
-            if frozen.shape != (L,):
-                raise ValueError("frozen mask needs one entry per model")
+        frozen = np.zeros(L, dtype=bool)  # early-stopped leaves
         histories: list[list[float]] = [[] for _ in range(L)]
         perm = np.zeros((L, n_max), dtype=np.int64)
 

@@ -10,6 +10,7 @@ hit. Entries are LRU-bounded and all operations are thread-safe.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
 from collections import OrderedDict
@@ -24,6 +25,11 @@ _MISS = object()
 #: Components past this bound (or non-finite ones) fall back to
 #: exact-bytes keys instead.
 _QUANT_LIMIT = 2**62
+
+#: Keys per block of a region scan (see ``AnswerCache.invalidate_region``):
+#: the scan's transient memory is one block's byte matrix, whatever the
+#: cache holds.
+_SCAN_CHUNK = 4_096
 
 
 def _in_any_box(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -171,32 +177,38 @@ class AnswerCache:
             return 0
         nslen = len(namespace)
         keylen = nslen + 1 + 8 * dim
+        ns = np.frombuffer(namespace, dtype=np.uint8)
+        # A quantized key stands for its grid cell: widen the boxes by
+        # half a step. Exact-bytes keys are points.
+        half = 0.5 * self.resolution
         with self._lock:
-            # One pass over the key set: same-length keys are joined into a
-            # byte matrix, so the namespace, mode and point of every key are
-            # array columns and each box is tested against all keys at once.
-            keys = [key for key in self._data if len(key) == keylen]
-            if not keys:
-                return 0
-            raw = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), keylen)
-            ours = np.all(raw[:, :nslen] == np.frombuffer(namespace, dtype=np.uint8), axis=1)
-            body = raw[:, nslen + 1 :]
-            mode = raw[:, nslen]
-            quant = ours & (mode == ord("q"))
-            exact = ours & (mode == ord("x"))
-            doomed = np.zeros(len(keys), dtype=bool)
-            # A quantized key stands for its grid cell: widen the boxes by
-            # half a step. Exact-bytes keys are points.
-            half = 0.5 * self.resolution
-            doomed[quant] = _in_any_box(
-                body[quant].view(np.int64) * self.resolution, lo - half, hi + half
-            )
-            doomed[exact] = _in_any_box(body[exact].view(np.float64), lo, hi)
-            for i in np.flatnonzero(doomed):
-                del self._data[keys[i]]
-            evicted = int(doomed.sum())
-            self.invalidations += evicted
-            return evicted
+            # Same-length keys go in blocks of _SCAN_CHUNK: each block is
+            # joined into a byte matrix, so the namespace, mode and point of
+            # every key in it are array columns and each box is tested
+            # against the whole block at once. Doomed keys are deleted after
+            # the scan, under the same lock hold.
+            same_length = (key for key in self._data if len(key) == keylen)
+            doomed_keys: list[bytes] = []
+            while True:
+                keys = list(itertools.islice(same_length, _SCAN_CHUNK))
+                if not keys:
+                    break
+                raw = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), keylen)
+                ours = np.all(raw[:, :nslen] == ns, axis=1)
+                body = raw[:, nslen + 1 :]
+                mode = raw[:, nslen]
+                quant = ours & (mode == ord("q"))
+                exact = ours & (mode == ord("x"))
+                doomed = np.zeros(len(keys), dtype=bool)
+                doomed[quant] = _in_any_box(
+                    body[quant].view(np.int64) * self.resolution, lo - half, hi + half
+                )
+                doomed[exact] = _in_any_box(body[exact].view(np.float64), lo, hi)
+                doomed_keys.extend(keys[i] for i in np.flatnonzero(doomed))
+            for key in doomed_keys:
+                del self._data[key]
+            self.invalidations += len(doomed_keys)
+            return len(doomed_keys)
 
     def stats(self) -> dict:
         with self._lock:

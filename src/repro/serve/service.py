@@ -35,8 +35,10 @@ the direct batch path (``tests/test_serve.py`` asserts this).
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import gzip
 import json
+import time
 from concurrent import futures
 from concurrent.futures import Future
 
@@ -49,6 +51,35 @@ from repro.serve.protocol import ErrorResponse, ProtocolError
 #: Every way a timeout surfaces: ``asyncio.wait_for`` and
 #: ``Future.result(timeout=...)`` raise their own classes before Python 3.11.
 _TIMEOUTS = (TimeoutError, asyncio.TimeoutError, futures.TimeoutError)
+
+
+def _load_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        fn = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    fn.argtypes = [ctypes.c_size_t]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_MALLOC_TRIM = _load_malloc_trim()
+
+
+def release_free_memory() -> None:
+    """Hand the C heap's free pages back to the OS (glibc only; a no-op
+    elsewhere).
+
+    The socket server runs an ingest in an executor thread, so the new
+    epoch's weights and plans, the label index and the scratch it allocates
+    live in that thread's malloc arena, beside the old epoch's until the swap frees
+    them. glibc keeps freed arena pages resident, and the event loop's own
+    allocations (the answer cache) cannot reuse another arena's, so without
+    a trim every ingest leaves its transient peak in the process's RSS.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class ImmutableSketchError(RuntimeError):
@@ -456,7 +487,8 @@ class SketchService:
         epoch until the hot-swap lands. Cached answers whose quantized
         query cells intersect a dirty leaf's query-space box are evicted
         from every registered entry sharing this sketch's stream state
-        (each dtype-tier view included).
+        (each dtype-tier view included). Last, the C heap's free pages go
+        back to the OS (:func:`release_free_memory`).
         """
         entry = self._entry(sketch)
         target = entry.sketch
@@ -479,18 +511,17 @@ class SketchService:
                     np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
                 )
             )
+        from repro.stream.sketch import summarize
+
+        t0 = time.perf_counter()
         evicted = self._invalidate_dirty(target, results)
-        return {
-            "op": "+".join(r.op for r in results),
-            "appended": sum(r.appended for r in results),
-            "deleted": sum(r.deleted for r in results),
-            "dirty_leaves": sorted({l for r in results for l in r.dirty_leaves}),
-            "retrained_leaves": sorted({l for r in results for l in r.retrained_leaves}),
-            "swapped": any(r.swapped for r in results),
-            "epoch": results[-1].epoch,
-            "data_version": results[-1].data_version,
-            "cache_evictions": evicted,
-        }
+        invalidate_s = time.perf_counter() - t0
+        target.record_stage("invalidate_s", invalidate_s)
+        summary = summarize(results)
+        summary["stages"]["invalidate_s"] = invalidate_s
+        summary["cache_evictions"] = evicted
+        release_free_memory()
+        return summary
 
     def _invalidate_dirty(self, target, results) -> int:
         """Evict cached answers reachable from the dirty leaves' boxes."""

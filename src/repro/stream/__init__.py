@@ -15,8 +15,9 @@ streams. This package makes a fitted sketch *mutable*:
   ``append``/``delete`` route data changes through the flat kd-tree's
   leaf boxes to mark affected leaf partitions dirty, refresh those leaves'
   training labels (an exact-delta fast path for COUNT/SUM, a live rescan
-  otherwise), retrain only the dirty slots via the stacked trainer's
-  freeze mask, and atomically hot-swap the retrained weights into every
+  otherwise), retrain only the dirty slots as a stack of their own (so
+  retrain memory and time scale with the number of dirty leaves), and
+  atomically hot-swap the retrained weights into every
   serving-tier engine (:meth:`repro.core.compiled.CompiledSketch
   .swap_from`), bumping the epoch.
 """

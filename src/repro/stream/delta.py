@@ -17,6 +17,14 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.data.normalization import MinMaxScaler
 
+#: Spare rows the buffer gains at least when an append outgrows it.
+_MIN_SPARE_ROWS = 16
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
 
 class DeltaStore:
     """Base rows + appended rows - deleted rows, under a frozen scaler.
@@ -43,25 +51,31 @@ class DeltaStore:
         appended_raw: np.ndarray | None = None,
         live: np.ndarray | None = None,
     ) -> None:
-        self.base_raw = np.asarray(base_raw, dtype=np.float64)
-        if self.base_raw.ndim != 2:
-            raise ValueError(f"base rows must be 2-d, got shape {self.base_raw.shape}")
+        base = np.asarray(base_raw, dtype=np.float64)
+        if base.ndim != 2:
+            raise ValueError(f"base rows must be 2-d, got shape {base.shape}")
         self.scaler = scaler
         self.measure_index = int(measure_index)
-        d = self.base_raw.shape[1]
+        d = base.shape[1]
         if not 0 <= self.measure_index < d:
             raise ValueError(f"measure index {measure_index} out of range for {d} columns")
         if appended_raw is None:
             appended_raw = np.empty((0, d), dtype=np.float64)
-        self.appended_raw = np.asarray(appended_raw, dtype=np.float64)
-        if self.appended_raw.ndim != 2 or self.appended_raw.shape[1] != d:
+        appended = np.asarray(appended_raw, dtype=np.float64)
+        if appended.ndim != 2 or appended.shape[1] != d:
             raise ValueError("appended rows must match the base row width")
-        n = self.base_raw.shape[0] + self.appended_raw.shape[0]
-        if live is None:
-            live = np.ones(n, dtype=bool)
-        self.live = np.asarray(live, dtype=bool)
-        if self.live.shape != (n,):
+        n = base.shape[0] + appended.shape[0]
+        live = np.ones(n, dtype=bool) if live is None else np.array(live, dtype=bool)
+        if live.shape != (n,):
             raise ValueError(f"live mask must cover all {n} rows")
+        self._n_base = base.shape[0]
+        self._n = n
+        # Base then appended rows in one buffer whose first ``_n`` rows are
+        # filled; appends write into the spare rows and regrow it by
+        # doubling, so a stream of small appends copies each row O(1)
+        # times. Until the first append the buffer is the base array.
+        self._rows = base if appended.shape[0] == 0 else np.concatenate([base, appended])
+        self._live = live
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "DeltaStore":
@@ -71,23 +85,37 @@ class DeltaStore:
 
     @property
     def dim(self) -> int:
-        return self.base_raw.shape[1]
+        return self._rows.shape[1]
 
     @property
     def n_total(self) -> int:
         """All rows ever seen, including tombstoned ones."""
-        return self.live.shape[0]
+        return self._n
 
     @property
     def n_live(self) -> int:
-        return int(self.live.sum())
+        return int(self._live[: self._n].sum())
+
+    @property
+    def base_raw(self) -> np.ndarray:
+        """The seed dataset's rows, raw units (read-only view)."""
+        return _read_only(self._rows[: self._n_base])
+
+    @property
+    def appended_raw(self) -> np.ndarray:
+        """Rows appended since the seed, raw units (read-only view)."""
+        return _read_only(self._rows[self._n_base : self._n])
 
     @property
     def all_raw(self) -> np.ndarray:
-        """Every row ever seen (base then appended), raw units."""
-        if self.appended_raw.shape[0] == 0:
-            return self.base_raw
-        return np.concatenate([self.base_raw, self.appended_raw])
+        """Every row ever seen (base then appended), raw units (read-only
+        view)."""
+        return _read_only(self._rows[: self._n])
+
+    @property
+    def live(self) -> np.ndarray:
+        """Liveness of every row ever seen (read-only view)."""
+        return _read_only(self._live[: self._n])
 
     @property
     def live_raw(self) -> np.ndarray:
@@ -112,10 +140,22 @@ class DeltaStore:
             raise ValueError(f"appended rows must have {self.dim} columns, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("appended rows must be finite")
-        if rows.shape[0] == 0:
+        k = rows.shape[0]
+        if k == 0:
             return rows
-        self.appended_raw = np.concatenate([self.appended_raw, rows])
-        self.live = np.concatenate([self.live, np.ones(rows.shape[0], dtype=bool)])
+        n, stop = self._n, self._n + k
+        if stop > self._rows.shape[0]:
+            spare = self._rows.shape[0] - self._n_base
+            cap = self._n_base + max(stop - self._n_base, 2 * spare, _MIN_SPARE_ROWS)
+            grown = np.empty((cap, self.dim), dtype=np.float64)
+            grown[:n] = self._rows[:n]
+            self._rows = grown
+            live = np.empty(cap, dtype=bool)
+            live[:n] = self._live[:n]
+            self._live = live
+        self._rows[n:stop] = rows
+        self._live[n:stop] = True
+        self._n = stop
         return self.scaler.transform(rows)
 
     def delete(self, lo_raw: np.ndarray, hi_raw: np.ndarray) -> np.ndarray:
@@ -128,11 +168,14 @@ class DeltaStore:
         hi = np.asarray(hi_raw, dtype=np.float64).ravel()
         if lo.shape != (self.dim,) or hi.shape != (self.dim,):
             raise ValueError(f"delete bounds must have {self.dim} components")
-        rows = self.all_raw
-        hit = self.live & np.all((rows >= lo) & (rows < hi), axis=1)
+        rows = self._rows[: self._n]
+        hit = self._live[: self._n] & np.all((rows >= lo) & (rows < hi), axis=1)
         if not hit.any():
             return np.empty((0, self.dim), dtype=np.float64)
-        self.live = self.live & ~hit
+        # A fresh mask, so a ``live`` view taken before stays as it was.
+        live = self._live.copy()
+        live[: self._n] &= ~hit
+        self._live = live
         return self.scaler.transform(rows[hit])
 
     # ------------------------------------------------------------ persistence
@@ -162,5 +205,5 @@ class DeltaStore:
     def __repr__(self) -> str:
         return (
             f"DeltaStore(n_live={self.n_live}, n_total={self.n_total}, "
-            f"appended={self.appended_raw.shape[0]}, dim={self.dim})"
+            f"appended={self._n - self._n_base}, dim={self.dim})"
         )

@@ -16,11 +16,13 @@ A :class:`StreamingSketch` wraps a canonical float64
    per-query delta from just the changed rows; other aggregates rescan
    the live data.
 3. The policy gates retraining on accumulated dirty-row counts and label
-   drift. Approved leaves retrain via the stacked trainer with every
-   clean slot *frozen* (:meth:`~repro.nn.stacked.StackedTrainer.fit`'s
-   ``frozen`` mask), so only dirty slots spend gradient steps; clean
-   slots carry their current weights through bit-exactly.
-4. The resulting stack compiles to a fresh canonical engine, re-tiers to
+   drift. Approved leaves retrain as a stack of their own: the stacked
+   trainer sees only those leaves, so the optimizer state, scratch and
+   best-parameter copies of a retrain — and its time — scale with the
+   number of dirty leaves, not with the sketch. Their weights are written
+   into a copy of the canonical weights, where clean slots keep their
+   current values bit-exactly.
+4. That stack compiles to a fresh canonical engine, re-tiers to
    every registered serving dtype, and lands via
    :meth:`~repro.core.compiled.CompiledSketch.swap_from` — in-flight
    batches finish on the old epoch, new calls see the new one, never a
@@ -37,6 +39,7 @@ from __future__ import annotations
 import copy
 import json
 import threading
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,7 +52,8 @@ from repro.core.compiled import (
 from repro.core.kdtree import QueryKDTree
 from repro.data.dataset import Dataset
 from repro.nn.network import MLP, mlp_architecture
-from repro.nn.stacked import StackedTrainer
+from repro.nn.scalers import StackedStandardScaler
+from repro.nn.stacked import StackedMLP, StackedTrainer
 from repro.nn.train_core import TrainConfig
 from repro.queries.aggregates import get_aggregate
 from repro.queries.executor import ExactEngine
@@ -68,6 +72,11 @@ _DELTA_BLOCK_CELLS = 4_000_000
 #: Cap on |leaves| x |changed rows| x |active attrs| per dirty-marking block.
 _DIRTY_BLOCK_CELLS = 8_000_000
 
+#: Where an ingest's time goes: the mutation with its dirty marking and
+#: label refresh, the retrain of approved leaves, and (in the serving
+#: layer) the answer-cache invalidation.
+STAGES = ("apply_s", "retrain_s", "invalidate_s")
+
 
 @dataclass
 class IngestResult:
@@ -85,6 +94,10 @@ class IngestResult:
     #: unconstrained sides are +-inf) — what a serving cache invalidates.
     dirty_lo: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     dirty_hi: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    #: Seconds spent applying the mutation and retraining (both 0 when
+    #: there was nothing to do).
+    apply_s: float = 0.0
+    retrain_s: float = 0.0
 
     def to_dict(self) -> dict:
         """Wire-friendly summary (the boxes stay server-side)."""
@@ -98,6 +111,26 @@ class IngestResult:
             "epoch": self.epoch,
             "data_version": self.data_version,
         }
+
+
+def summarize(results: list[IngestResult]) -> dict:
+    """The summary of one ingest call that applied ``results`` in order:
+    what ``repro ingest`` prints and the serving layer answers, with
+    ``stages`` holding the call's apply and retrain seconds."""
+    return {
+        "op": "+".join(r.op for r in results),
+        "appended": sum(r.appended for r in results),
+        "deleted": sum(r.deleted for r in results),
+        "dirty_leaves": sorted({l for r in results for l in r.dirty_leaves}),
+        "retrained_leaves": sorted({l for r in results for l in r.retrained_leaves}),
+        "swapped": any(r.swapped for r in results),
+        "epoch": results[-1].epoch,
+        "data_version": results[-1].data_version,
+        "stages": {
+            "apply_s": sum(r.apply_s for r in results),
+            "retrain_s": sum(r.retrain_s for r in results),
+        },
+    }
 
 
 class StreamingSketch:
@@ -170,6 +203,8 @@ class StreamingSketch:
             # (ExactEngine over the live rows, store.n_total it covers):
             # built on first use, extended by appends, dropped by deletes.
             "labels": None,
+            # Running seconds per ingest stage (see STAGES).
+            "stages": dict.fromkeys(STAGES, 0.0),
         }
         self._y_snapshot = (
             self.y_train.copy()
@@ -255,7 +290,7 @@ class StreamingSketch:
             predicate.param_dim, depth=depth, width_first=width_first, width_rest=width_rest
         )
         canonical = _fit_canonical(
-            tree, Q_train, y_train, layer_sizes, config, seed, epoch=0, frozen=None
+            tree, Q_train, y_train, layer_sizes, config, seed, epoch=0
         )
         return cls(
             canonical,
@@ -371,16 +406,20 @@ class StreamingSketch:
     def append(self, rows_raw: np.ndarray) -> IngestResult:
         """Append raw data rows; retrain and hot-swap if the policy says so."""
         with self._lock:
+            t0 = time.perf_counter()
             Xn = self.store.append(rows_raw)
             k = Xn.shape[0]
             measure = np.atleast_2d(np.asarray(rows_raw, dtype=np.float64))[
                 :, self.store.measure_index
             ]
-            return self._apply("append", Xn, measure, np.ones(k), appended=k, deleted=0)
+            return self._apply(
+                "append", Xn, measure, np.ones(k), appended=k, deleted=0, t0=t0
+            )
 
     def delete(self, lo_raw: np.ndarray, hi_raw: np.ndarray) -> IngestResult:
         """Delete live rows in the raw-space box ``[lo, hi)``; maybe retrain."""
         with self._lock:
+            t0 = time.perf_counter()
             Xn = self.store.delete(lo_raw, hi_raw)
             k = Xn.shape[0]
             if k:
@@ -388,7 +427,7 @@ class StreamingSketch:
             raw = self.store.scaler.inverse_transform(Xn) if k else Xn
             measure = raw[:, self.store.measure_index] if k else np.empty(0)
             return self._apply(
-                "delete", Xn, measure, -np.ones(k), appended=0, deleted=k
+                "delete", Xn, measure, -np.ones(k), appended=0, deleted=k, t0=t0
             )
 
     def _apply(
@@ -399,8 +438,10 @@ class StreamingSketch:
         signs: np.ndarray,
         appended: int,
         deleted: int,
+        t0: float,
     ) -> IngestResult:
-        """Dirty-mark, refresh labels, maybe retrain + swap. Lock held."""
+        """Dirty-mark, refresh labels, maybe retrain + swap. Lock held;
+        ``t0`` is when the mutation started, for the stage timings."""
         mut = self._mut
         if appended == 0 and deleted == 0:
             return IngestResult(
@@ -416,10 +457,9 @@ class StreamingSketch:
         for l in np.flatnonzero(self._pending > 0):
             if self.policy.should_retrain(int(self._pending[l]), self._drift(int(l))):
                 retrained.append(int(l))
-        swapped = False
-        if retrained:
-            self._retrain(retrained)
-            swapped = True
+        apply_s = time.perf_counter() - t0
+        retrain_s = self._retrain(retrained) if retrained else 0.0
+        self.record_stage("apply_s", apply_s)
         lo, hi = self._leaf_boxes()
         return IngestResult(
             op,
@@ -427,11 +467,13 @@ class StreamingSketch:
             deleted,
             [int(l) for l in dirty],
             retrained,
-            swapped,
+            bool(retrained),
             mut["epoch"],
             mut["data_version"],
             dirty_lo=lo[dirty],
             dirty_hi=hi[dirty],
+            apply_s=apply_s,
+            retrain_s=retrain_s,
         )
 
     def preview_dirty(self, rows_raw: np.ndarray) -> np.ndarray:
@@ -451,8 +493,7 @@ class StreamingSketch:
         with self._lock:
             mut = self._mut
             pending = [int(l) for l in np.flatnonzero(self._pending > 0)]
-            if pending:
-                self._retrain(pending)
+            retrain_s = self._retrain(pending) if pending else 0.0
             lo, hi = self._leaf_boxes()
             idx = np.asarray(pending, dtype=np.int64)
             return IngestResult(
@@ -466,7 +507,16 @@ class StreamingSketch:
                 mut["data_version"],
                 dirty_lo=lo[idx],
                 dirty_hi=hi[idx],
+                retrain_s=retrain_s,
             )
+
+    def record_stage(self, stage: str, seconds: float) -> None:
+        """Add ``seconds`` to the running total of an ingest stage (one of
+        :data:`STAGES`); ``stats()["stages"]`` reports the totals. The
+        serving layer records ``invalidate_s`` here, since the answer cache
+        is its own."""
+        with self._lock:
+            self._mut["stages"][stage] += float(seconds)
 
     def rebuild(self) -> CompiledSketch:
         """Retrain *every* leaf from scratch on the current labels.
@@ -487,7 +537,6 @@ class StreamingSketch:
                 self.config,
                 self.seed,
                 epoch=self.epoch + 1,
-                frozen=None,
             )
 
     # ---------------------------------------------------------- dirty marking
@@ -593,47 +642,56 @@ class StreamingSketch:
 
     # --------------------------------------------------------------- retrain
 
-    def _retrain(self, retrain_ids: list[int]) -> None:
+    def _retrain(self, retrain_ids: list[int]) -> float:
         """Refit the given leaf slots and hot-swap every tier. Lock held.
 
-        Clean slots enter the stacked fit *frozen* with their current
-        canonical weights and their last-trained labels, so the refit
-        scaler statistics and restored parameters reproduce their current
-        function bit-exactly; only the retrained slots change.
+        Only the retrained leaves enter the stacked fit, so the fit's
+        memory and time scale with their number. Their weights and scaler
+        statistics land in a copy of the canonical group's; clean slots
+        keep theirs bit-exactly (a per-leaf scaler fit depends on that
+        leaf's rows alone, so refitting a clean leaf on the labels it was
+        last trained on would reproduce its statistics anyway). Returns
+        the seconds it took.
         """
+        t0 = time.perf_counter()
         mut = self._mut
         canonical: CompiledSketch = mut["canonical"]
         group = canonical.groups[0]
-        L = self.n_leaves
         new_epoch = mut["epoch"] + 1
-        retrain_set = set(retrain_ids)
 
-        frozen = np.ones(L, dtype=bool)
-        models: list[MLP] = []
-        Qs: list[np.ndarray] = []
-        ys: list[np.ndarray] = []
-        seeds: list[list[int]] = []
-        for l in range(L):
-            idx = self._q_by_leaf[l]
-            Qs.append(self.Q_train[idx])
-            if l in retrain_set:
-                frozen[l] = False
-                ys.append(self.y_train[idx])
-                model = MLP(
-                    group.layer_sizes,
-                    seed=np.random.default_rng([self.seed, new_epoch, l, 0]),
-                )
-            else:
-                ys.append(self._y_snapshot[idx])
-                model = MLP(group.layer_sizes, seed=0)
-                for li, layer in enumerate(model.dense_layers):
-                    layer.W[...] = group.W[li][l]
-                    layer.b[...] = group.b[li][l]
-            models.append(model)
-            seeds.append([self.seed, new_epoch, l, 1])
-
-        result = StackedTrainer(self.config).fit(models, Qs, ys, seeds=seeds, frozen=frozen)
-        new_canonical = result.compile(canonical.tree, dtype="float64")
+        models = [
+            MLP(group.layer_sizes, seed=np.random.default_rng([self.seed, new_epoch, l, 0]))
+            for l in retrain_ids
+        ]
+        result = StackedTrainer(self.config).fit(
+            models,
+            [self.Q_train[self._q_by_leaf[l]] for l in retrain_ids],
+            [self.y_train[self._q_by_leaf[l]] for l in retrain_ids],
+            seeds=[[self.seed, new_epoch, l, 1] for l in retrain_ids],
+        )
+        W = [w.copy() for w in group.W]
+        b = [bias.copy() for bias in group.b]
+        for li in range(len(W)):
+            W[li][retrain_ids] = result.stacked.W[li]
+            b[li][retrain_ids] = result.stacked.b[li]
+        scalers = []
+        for mean, scale, fitted in (
+            (group.x_mean, group.x_scale, result.x_scaler),
+            (group.y_mean, group.y_scale, result.y_scaler),
+        ):
+            scaler = StackedStandardScaler()
+            scaler.mean_, scaler.scale_ = mean.copy(), scale.copy()
+            if fitted is not None:
+                scaler.mean_[retrain_ids] = fitted.mean_
+                scaler.scale_[retrain_ids] = fitted.scale_
+            scalers.append(scaler)
+        new_canonical = CompiledSketch.from_stack(
+            canonical.tree,
+            StackedMLP(group.layer_sizes, W, b),
+            x_scaler=scalers[0],
+            y_scaler=scalers[1],
+            dtype="float64",
+        )
         new_canonical.max_replicas = canonical.max_replicas
 
         mut["canonical"] = new_canonical
@@ -659,6 +717,9 @@ class StreamingSketch:
                 publisher.republish(self.engine(self.serving_dtype))
             except Exception:  # pragma: no cover - publish is best-effort
                 pass
+        retrain_s = time.perf_counter() - t0
+        self.record_stage("retrain_s", retrain_s)
+        return retrain_s
 
     # ------------------------------------------------------------------ stats
 
@@ -675,6 +736,7 @@ class StreamingSketch:
                 "serving_dtype": self.serving_dtype,
                 "tiers": sorted(self._engines),
                 "aggregate": self.aggregate.name,
+                "stages": dict(self._mut["stages"]),
             }
 
     # ------------------------------------------------------------ persistence
@@ -752,7 +814,6 @@ def _fit_canonical(
     config: TrainConfig,
     seed: int,
     epoch: int,
-    frozen: np.ndarray | None,
 ) -> CompiledSketch:
     """Stacked fit of every leaf with the deterministic seed schedule."""
     from repro.core.compiled import FlatTree
@@ -774,7 +835,7 @@ def _fit_canonical(
             MLP(layer_sizes, seed=np.random.default_rng([int(seed), int(epoch), l, 0]))
         )
         seeds.append([int(seed), int(epoch), l, 1])
-    result = StackedTrainer(config).fit(models, Qs, ys, seeds=seeds, frozen=frozen)
+    result = StackedTrainer(config).fit(models, Qs, ys, seeds=seeds)
     return result.compile(flat, dtype="float64")
 
 

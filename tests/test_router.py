@@ -303,13 +303,16 @@ def test_router_ingest_broadcast_keeps_every_shard_bit_identical(stream_router):
         stream_router["log"].append(("append", rows))
         assert summary["appended"] == 6 and summary["swapped"]
         # The wire summary is the in-process IngestResult plus the serving
-        # layer's eviction count (0 here: workers run --no-cache).
+        # layer's eviction count (0 here: workers run --no-cache) and the
+        # stage timings, which differ from run to run.
         assert summary.pop("cache_evictions") == 0
+        assert set(summary.pop("stages")) == {"apply_s", "retrain_s", "invalidate_s"}
         assert summary == twin.append(rows).to_dict()
 
         summary = client.ingest(delete=box)
         stream_router["log"].append(("delete", box))
         summary.pop("cache_evictions")
+        summary.pop("stages")
         assert summary == twin.delete(*box).to_dict()
 
         assert client.epoch() == (twin.epoch, twin.data_version)

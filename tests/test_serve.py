@@ -2,6 +2,7 @@
 
 import threading
 import time
+import tracemalloc
 from concurrent import futures
 from pathlib import Path
 
@@ -192,7 +193,8 @@ def _random_boxes(rng, k, d):
 @pytest.mark.parametrize("exact", [False, True])
 def test_invalidate_region_matches_per_key_oracle(exact):
     """The vectorized scan evicts exactly what the per-key loop would, over
-    namespaced, exact, quantized, overflow-fallback and mixed-width keys."""
+    namespaced, exact, quantized, overflow-fallback and mixed-width keys,
+    within one scan block and across block boundaries."""
     rng = np.random.default_rng(17)
     namespaces = (b"", b"a\x00", b"bb\x00")
     for trial in range(6):
@@ -215,6 +217,46 @@ def test_invalidate_region_matches_per_key_oracle(exact):
         assert evicted == len(expected)
         assert before - set(cache._data) == expected
         assert cache.invalidations == evicted
+
+    # Chunk boundaries: more same-length keys than one scan block holds,
+    # from two namespaces of one length, in both key modes (overflowing
+    # components fall back to exact-bytes keys) and two widths, interleaved
+    # so that every block mixes them.
+    cache = AnswerCache(resolution=1e-3, exact=exact)
+    for q in rng.uniform(0.0, 1.0, size=(2_600, 3)):
+        for ns in (b"a\x00", b"c\x00"):
+            cache.put(q[:2], float(q[0]), namespace=ns)
+            cache.put(q, float(q[1]), namespace=ns)
+        cache.put(np.array([3e18 * q[0], q[1]]), float(q[2]), namespace=b"a\x00")
+    lo, hi = _random_boxes(rng, 3, 2)
+    lo[:, 0] = -np.inf  # reach the overflow keys too
+    before = set(cache._data)
+    expected = per_key_invalidation(cache, lo, hi, namespace=b"a\x00")
+    same_length = [key for key in cache._data if len(key) == len(b"a\x00") + 1 + 8 * 2]
+    assert len(same_length) > 4_096
+    at = [i for i, key in enumerate(same_length) if key in expected]
+    assert at and at[0] < 4_096 <= at[-1], "the evictions must span scan blocks"
+    evicted = cache.invalidate_region(lo, hi, namespace=b"a\x00")
+    assert evicted == len(expected)
+    assert before - set(cache._data) == expected
+
+
+def test_invalidate_region_scan_memory_is_bounded():
+    """The scan reads the keys in fixed blocks, so its traced peak over a
+    full default-size cache (65,536 ten-wide keys) stays under 4 MB; one
+    byte matrix of every key would take 5.4 MB alone."""
+    cache = AnswerCache()
+    Q = np.random.default_rng(19).uniform(0.0, 1.0, size=(cache.max_entries, 10))
+    cache.put_many(Q, Q.sum(axis=1), namespace=b"s\x00")
+    lo, hi = np.array([[0.0] * 10, [0.5] * 10]), np.array([[0.5] * 10, [1.0] * 10])
+    tracemalloc.start()
+    try:
+        evicted = cache.invalidate_region(lo, hi, namespace=b"s\x00")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evicted > 0
+    assert peak < 4 * 2**20, f"region scan peaked at {peak} bytes"
 
 
 def test_put_many_stores_what_put_would():

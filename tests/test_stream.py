@@ -1,6 +1,9 @@
 """Streaming ingest: dirty marking, partial retrain, hot-swap, persistence."""
 
+import io
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from repro.data.dataset import Dataset
 from repro.nn.train_core import TrainConfig
 from repro.queries.executor import ExactEngine
 from repro.serve import AnswerCache, ImmutableSketchError, SketchService
-from repro.stream import MaintenancePolicy, StreamingSketch, load_stream_sketch
-from repro.stream.sketch import is_stream_bundle
+from repro.stream import DeltaStore, MaintenancePolicy, StreamingSketch, load_stream_sketch
+from repro.stream.sketch import STAGES, is_stream_bundle
 
 #: Policy that never retrains on its own — mutations only accumulate
 #: pending state, so tests control exactly when weights move.
@@ -51,6 +54,59 @@ def rows_near(sketch, unit_point, k=5, jitter=0.01, seed=9):
     rng = np.random.default_rng(seed)
     unit = np.clip(unit_point + rng.uniform(-jitter, jitter, size=(k, 2)), 0.0, 0.999)
     return sketch.store.scaler.inverse_transform(unit)
+
+
+# ---------------------------------------------------------------- delta store
+
+
+def test_delta_store_one_row_appends_equal_the_concatenated_reference():
+    """Appends fill a growing buffer; what the store shows must be bitwise
+    what concatenating every row would give, as read-only views, also
+    when the buffer regrows after a delete."""
+    ds = tiny_dataset()
+    store = DeltaStore.from_dataset(ds)
+    rows = np.random.default_rng(3).uniform(0.0, 10.0, size=(1_000, 2))
+    lo, hi = np.array([0.0, 0.0]), np.array([5.0, 50.0])
+    for row in rows[:500]:
+        store.append(row)
+    held = store.live
+    deleted = store.delete(lo, hi)
+    assert held.all(), "a view taken before a delete keeps what it showed"
+    for row in rows[500:]:
+        store.append(row)
+
+    every = np.concatenate([ds.raw, rows])
+    live = np.ones(every.shape[0], dtype=bool)
+    live[: ds.raw.shape[0] + 500] &= ~np.all((every >= lo) & (every < hi), axis=1)[
+        : ds.raw.shape[0] + 500
+    ]
+    assert deleted.shape[0] == int((~live).sum()) > 0
+    assert store.n_total == every.shape[0] and store.n_live == int(live.sum())
+    assert store.appended_raw.tobytes() == rows.tobytes()
+    assert store.appended_raw.shape == rows.shape
+    assert store.all_raw.tobytes() == every.tobytes()
+    assert store.base_raw.tobytes() == ds.raw.tobytes()
+    assert store.live.tobytes() == live.tobytes()
+    assert store.live_raw.tobytes() == every[live].tobytes()
+    for view in (store.base_raw, store.appended_raw, store.all_raw, store.live):
+        assert not view.flags.writeable
+
+    # The bundle arrays are the filled parts alone, and round-trip exactly.
+    arrays = store.to_arrays()
+    assert arrays["store_appended_raw"].tobytes() == rows.tobytes()
+    assert arrays["store_live"].tobytes() == live.tobytes()
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    buf.seek(0)
+    with np.load(buf) as payload:
+        back = DeltaStore.from_arrays(payload, store.measure_index)
+    for key, arr in back.to_arrays().items():
+        assert arr.dtype == arrays[key].dtype and arr.shape == arrays[key].shape
+        assert arr.tobytes() == arrays[key].tobytes()
+    extra = np.array([[1.0, 2.0]])
+    back.append(extra)
+    assert back.all_raw.tobytes() == np.concatenate([every, extra]).tobytes()
+    assert back.live.tobytes() == np.append(live, True).tobytes()
 
 
 # ------------------------------------------------------------- dirty marking
@@ -245,6 +301,41 @@ def test_identical_ingest_sequences_produce_bit_identical_sketches():
         )
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_retrain_memory_follows_the_dirty_leaves_not_the_sketch():
+    """A retrain of one or two of 16 leaves trains a stack of those leaves
+    alone. Its traced peak, which includes the new epoch's engines, stays
+    under a quarter of a full rebuild's; a fit over every slot would
+    allocate optimizer and best-parameter state for all 16 (about 0.6 of
+    the rebuild)."""
+    ds = tiny_dataset()
+    Q = np.random.default_rng(1).uniform(0.0, 1.0, size=(512, 2))
+    sketch = StreamingSketch.build(
+        ds,
+        Q,
+        fixed_range=0.05,
+        tree_height=4,
+        config=TrainConfig(epochs=6, batch_size=32, patience=6, seed=0),
+        policy=MaintenancePolicy(**NEVER),
+    )
+    sketch.engine()  # the serving tier is re-tiered and swapped too
+    rows = rows_near(sketch, np.array([0.01, 0.01]), k=4)
+    dirty = sketch.append(rows).dirty_leaves
+    assert 1 <= len(dirty) <= 2 and sketch.n_leaves == 16
+    rebuild = _peak_bytes(sketch.rebuild)
+    retrain = _peak_bytes(sketch.retrain_pending)
+    assert sketch.epoch == 1
+    assert retrain <= rebuild / 4, f"retrain peak {retrain} vs rebuild {rebuild}"
+
+
 # ------------------------------------------------------------------ hot-swap
 
 
@@ -415,6 +506,47 @@ def test_service_ingest_invalidates_every_tier_view_of_one_stream():
         assert summary["cache_evictions"] > 0
         assert summary["cache_evictions"] % 2 == 0
         assert len(shared) == 32 - summary["cache_evictions"]
+
+
+def test_service_ingest_reports_where_its_time_goes():
+    """Each ingest summary splits its time into stages, and the stream
+    stats keep running totals of them."""
+    sketch = small_sketch()  # default policy: every append retrains
+    with SketchService(cache=True, cache_resolution=1e-4, allow_mutations=True) as svc:
+        svc.register("s", sketch)
+        svc.ask_many(np.random.default_rng(15).uniform(0.0, 1.0, size=(32, 2)))
+        totals = dict.fromkeys(STAGES, 0.0)
+        for seed in range(2):
+            rows = rows_near(sketch, np.array([0.5, 0.5]), k=6, seed=seed)
+            t0 = time.perf_counter()
+            summary = svc.ingest(rows=rows)
+            wall = time.perf_counter() - t0
+            stages = summary["stages"]
+            assert set(stages) == set(STAGES)
+            assert all(v >= 0.0 for v in stages.values())
+            assert sum(stages.values()) <= wall
+            assert summary["swapped"] and stages["retrain_s"] > 0.0
+            for key in STAGES:
+                totals[key] += stages[key]
+        assert svc.stats()["stream"]["stages"] == pytest.approx(totals)
+
+
+def test_service_ingest_hands_free_heap_pages_back(monkeypatch):
+    """An ingest trims the C heap once, after its retrain has swapped the
+    new epoch in; without ``malloc_trim`` the trim is a no-op."""
+    from repro.serve import service
+
+    calls = []
+    sketch = small_sketch()  # default policy: every append retrains
+    with SketchService(cache=True, cache_resolution=1e-4, allow_mutations=True) as svc:
+        svc.register("s", sketch)
+        monkeypatch.setattr(service, "_MALLOC_TRIM", lambda pad: calls.append((pad, sketch.epoch)))
+        svc.ingest(rows=rows_near(sketch, np.array([0.5, 0.5]), k=6))
+        assert calls == [(0, 1)]
+        monkeypatch.setattr(service, "_MALLOC_TRIM", None)
+        summary = svc.ingest(rows=rows_near(sketch, np.array([0.5, 0.5]), k=6, seed=1))
+        assert summary["epoch"] == 2
+    assert calls == [(0, 1)]
 
 
 def test_service_epoch_info_reports_stream_and_static_sketches():
