@@ -32,20 +32,24 @@ from pathlib import Path
 import numpy as np
 
 from repro._version import __version__
-from repro.data.registry import (
-    DATASET_NAMES,
-    aliases_by_dataset,
-    dataset_info,
-    resolve_dataset_name,
-)
-from repro.eval.adapters import estimator_names
-from repro.eval.reporting import (
-    format_comparison_table,
-    format_result_table,
-    load_bench_json,
-    write_bench_json,
-)
-from repro.eval.runner import ExperimentConfig, run_experiment
+
+# The experiment stack (repro.eval, repro.baselines, repro.data) is imported
+# by the handlers that use it: `repro serve` parses the same command line
+# and should not load (or, without bytecode caching, compile) what it never
+# runs.
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Fills ``{estimators}`` in an argument's help with the estimator
+    registry when help is printed, not when the parser is built."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        text = super()._get_help_string(action)
+        if text and "{estimators}" in text:
+            from repro.api import estimator_names
+
+            text = text.replace("{estimators}", ", ".join(estimator_names()))
+        return text
 
 
 def _parse_estimators(spec: str) -> tuple[str, ...]:
@@ -74,12 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one experiment end-to-end")
+    run = sub.add_parser(
+        "run", help="run one experiment end-to-end", formatter_class=_HelpFormatter
+    )
     run.add_argument("--dataset", default="synthetic",
                      help="registry name or alias (see list-datasets)")
     run.add_argument("--estimators", type=_parse_estimators,
                      default=("neurosketch", "exact", "uniform"),
-                     help=f"comma-separated subset of {', '.join(estimator_names())}")
+                     help="comma-separated subset of {estimators}")
     run.add_argument("--aggregate", default="AVG", help="aggregate function (AVG, SUM, ...)")
     run.add_argument("--n-rows", type=int, default=None, help="dataset rows (registry default)")
     run.add_argument("--n-train", type=int, default=2_000, help="training queries")
@@ -252,20 +258,21 @@ def _operator_error(exc: Exception) -> int:
     return 2
 
 
-#: Preferred BENCH trajectory name per canonical dataset, so alias spellings
-#: (synthetic/gmm/G5) all write the same BENCH_* file across PRs. The first
-#: registered alias per dataset wins; unaliased datasets use their own name.
-_BENCH_NAMES: dict[str, str] = {
-    target: aliases[0] for target, aliases in aliases_by_dataset().items()
-}
-
-
 def _default_bench_name(dataset_arg: str) -> str:
+    """The BENCH trajectory name of a dataset, so alias spellings
+    (synthetic/gmm/G5) all write the same BENCH_* file across PRs: the first
+    registered alias per dataset wins; unaliased datasets use their own name."""
+    from repro.data.registry import aliases_by_dataset, resolve_dataset_name
+
     canonical = resolve_dataset_name(dataset_arg)
-    return _BENCH_NAMES.get(canonical, canonical)
+    aliases = aliases_by_dataset().get(canonical)
+    return aliases[0] if aliases else canonical
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_result_table, write_bench_json
+    from repro.eval.runner import ExperimentConfig, run_experiment
+
     try:
         config = ExperimentConfig(
             dataset=args.dataset,
@@ -591,6 +598,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_comparison_table, load_bench_json
+
     benches: dict[str, dict] = {}
     for raw in args.bench_files:
         path = Path(raw)
@@ -614,6 +623,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_datasets(_: argparse.Namespace) -> int:
+    from repro.data.registry import DATASET_NAMES, aliases_by_dataset, dataset_info
+
     alias_of = aliases_by_dataset()
     print(f"{'name':<8}{'paper n':>12}{'dim':>6}{'default n':>12}  aliases")
     for name in DATASET_NAMES:

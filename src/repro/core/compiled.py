@@ -118,6 +118,9 @@ DEFAULT_MAX_BATCH = 64
 #: through ReLU, so answers are unchanged up to BLAS reassociation).
 SIMD_LANES = 8
 
+#: Serializes :meth:`_LeafGroup.ensure_plan`'s first lowering of a group.
+_PLAN_LOCK = threading.Lock()
+
 #: Batches below this many rows skip the segment scheduler entirely and run
 #: the scalar kernel row by row: at that scale the per-batch scheduling
 #: overhead exceeds the gemm advantage, and the scalar path warm-starts on
@@ -169,6 +172,7 @@ class FlatTree:
         "_rchild",
         "_depth",
         "_boxes",
+        "_leaf_boxes",
     )
 
     def __init__(
@@ -201,6 +205,7 @@ class FlatTree:
         self._lid = self.leaf_id.tolist()
         self._build_route_tables()
         self._boxes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._leaf_boxes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _build_route_tables(self) -> None:
         """Branch-free batch-routing tables: leaves self-loop.
@@ -433,7 +438,19 @@ class FlatTree:
         exactly on a split plane intersects both children's boxes). This is
         what the streaming subsystem uses to decide which leaf partitions a
         data mutation dirties.
+
+        Computed once per ``dim`` (the tree is immutable, so every engine
+        built on it shares the result); the arrays are read-only.
         """
+        boxes = self._leaf_boxes.get(dim)
+        if boxes is None:
+            boxes = self._compute_leaf_boxes(dim)
+            for a in boxes:
+                a.flags.writeable = False
+            self._leaf_boxes[dim] = boxes
+        return boxes
+
+    def _compute_leaf_boxes(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         max_dim = int(self.split_dim.max(initial=-1))
         if dim <= max_dim:
             raise ValueError(f"dim must exceed the largest split dim ({max_dim})")
@@ -489,8 +506,10 @@ class _LeafGroup:
     what serializes, what ``num_params`` counts and what the padded
     reference path (:meth:`forward_batch_padded`) runs.
 
-    At construction the group lowers itself to an execution plan for its
-    dtype tier: per layer one *augmented fused* tensor ``_A[l]`` of shape
+    On first use the group lowers itself to an execution plan for its
+    dtype tier (an engine that never answers, such as a streaming sketch's
+    float64 canonical engine behind float32 serving, never builds one): per
+    layer one *augmented fused* tensor ``_A[l]`` of shape
     ``(g, fan_in + 1, cols)`` holding ``[[W', 0], [b', 1]]`` — ``W'``/``b'``
     are the weights with the x-scaler folded into layer 0 and the y-scaler
     into the last layer, the extra row applies the bias, and the extra
@@ -576,7 +595,9 @@ class _LeafGroup:
         self.dtype_name = str(dtype)
         self.pad_widths = bool(pad_widths)
         self._dtype = resolve_dtype(self.dtype_name)
-        self._build_plan()
+        # The fused plan is lowered on first use (see ensure_plan).
+        self._A = self._slot_A = self._cols = self._rows0 = None
+        self._one_bufs = self._x_one = None
         # Batch arena grows on demand (geometrically) and is reused across
         # calls; the scalar-path buffers are fixed-size.
         self._cap = 0
@@ -591,6 +612,26 @@ class _LeafGroup:
         self.fb_segments = 0
 
     # ------------------------------------------------------------------- plan
+
+    @property
+    def has_plan(self) -> bool:
+        """Whether the fused execution plan has been lowered yet."""
+        return self._A is not None
+
+    def ensure_plan(self) -> None:
+        """Lower the fused execution plan unless that has happened already.
+
+        :meth:`CompiledSketch._checkout` calls this before handing out a
+        context (and :meth:`replicate` before sharing the plan), so an
+        engine that never answers never holds a plan; the forward passes
+        assume it exists. Groups can be shared across engines, so the
+        lowering runs under one module lock: concurrent first uses build
+        a single plan.
+        """
+        if self._A is None:
+            with _PLAN_LOCK:
+                if self._A is None:
+                    self._build_plan()
 
     def _build_plan(self) -> None:
         """Lower canonical weights to fused augmented tensors (see class doc).
@@ -632,7 +673,6 @@ class _LeafGroup:
             if not last:
                 a[:, fan_in, fan_out] = 1.0  # the carried ones-lane
             A.append(a)
-        self._A = A
         self._cols = [a.shape[2] for a in A]
         self._rows0 = A[0].shape[1]
         # Per-slot per-layer weight views as plain Python lists: the segment
@@ -641,6 +681,8 @@ class _LeafGroup:
         self._one_bufs = [np.empty(c, dtype=self._dtype) for c in self._cols]
         self._x_one = np.zeros(self._rows0, dtype=self._dtype)
         self._x_one[self.layer_sizes[0]] = 1.0
+        # Last: ``has_plan``/``ensure_plan`` read ``_A`` as "plan complete".
+        self._A = A
 
     def with_dtype(self, dtype: str, pad_widths: bool | None = None) -> "_LeafGroup":
         """This group lowered to another tier (canonical arrays are shared)."""
@@ -669,6 +711,7 @@ class _LeafGroup:
         workspace) is private, so a replica costs a few empty buffers, not
         another copy of the model.
         """
+        self.ensure_plan()
         rep = object.__new__(_LeafGroup)
         rep.layer_sizes = self.layer_sizes
         rep.leaf_ids = self.leaf_ids
@@ -1063,6 +1106,7 @@ class _EngineContext:
         "ls_list",
         "slot_identity",
         "epoch",
+        "planned",
         "wlo",
         "whi",
         "last_lid",
@@ -1094,6 +1138,9 @@ class _EngineContext:
         self.slot_identity = sketch._slot_identity
         self.input_dim = sketch.input_dim
         self.epoch = sketch.epoch
+        # Replicas share an already lowered plan; only the primary context
+        # may wrap groups whose plan is still to be built (at checkout).
+        self.planned = all(g.has_plan for g in groups)
         # Same-leaf warm-start state: routing boxes as Python lists (shared,
         # read-only), the last-hit leaf, and hit/miss counters drained by the
         # sketch at check-in.
@@ -1414,7 +1461,12 @@ class CompiledSketch:
         with self._pool:
             while True:
                 if self._idle:
-                    return self._idle.pop()
+                    ctx = self._idle.pop()
+                    if not ctx.planned:
+                        for g in ctx.groups:
+                            g.ensure_plan()
+                        ctx.planned = True
+                    return ctx
                 if self._n_contexts < self.max_replicas:
                     self._n_contexts += 1
                     try:

@@ -200,6 +200,7 @@ def _sketch_blocks(engine) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta + array set a data block carries for ``engine``."""
     arrays = dict(engine.npz_payload())
     for gi, group in enumerate(engine.groups):
+        group.ensure_plan()
         for li, plan in enumerate(group._A):
             arrays[f"g{gi}_plan{li}"] = plan
     meta = {
@@ -382,6 +383,7 @@ def attach_sketch(uri: str, dtype: str | None = None):
             header.get("plan_pad_widths")
         ):
             for gi, group in enumerate(sketch.groups):
+                group.ensure_plan()
                 plans = [arrays[f"g{gi}_plan{li}"] for li in range(len(group._A))]
                 if all(p.shape == a.shape for p, a in zip(plans, group._A)):
                     group._A = plans

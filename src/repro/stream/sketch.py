@@ -231,7 +231,6 @@ class StreamingSketch:
         ]
         if any(idx.size == 0 for idx in self._q_by_leaf):
             raise ValueError("every leaf needs at least one training query")
-        self._boxes: tuple[np.ndarray, np.ndarray] | None = None
         #: Optional :class:`repro.serve.shm.ShmPublisher`: when set (see
         #: :meth:`set_weight_publisher`), every retrain republishes the
         #: serving-tier engine as a fresh shm epoch block. ``copy.copy``
@@ -542,10 +541,8 @@ class StreamingSketch:
     # ---------------------------------------------------------- dirty marking
 
     def _leaf_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Query-space leaf boxes, cached (the tree never changes)."""
-        if self._boxes is None:
-            self._boxes = self.canonical.tree.leaf_boxes(self.predicate.param_dim)
-        return self._boxes
+        """Query-space leaf boxes (memoised on the immutable tree)."""
+        return self.canonical.tree.leaf_boxes(self.predicate.param_dim)
 
     def _dirty_counts(self, Xn: np.ndarray) -> np.ndarray:
         """How many of the changed (normalized) rows each leaf can reach.

@@ -1,6 +1,10 @@
 """CLI tests: the ``python -m repro`` surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -552,3 +556,31 @@ def test_serve_max_batch_accepts_auto():
     assert args.max_batch == 32
     with pytest.raises(SystemExit):
         parser.parse_args(["serve", "--sketch", "x.npz", "--max-batch", "turbo"])
+
+
+def test_importing_the_cli_loads_no_experiment_stack():
+    """``repro serve`` boots through ``repro.cli``: building the parser and
+    parsing a serve command line must not import the eval runner, the
+    baselines or the data registry (each boot without bytecode caching
+    compiles every module it imports)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, repro.cli\n"
+        "repro.cli.build_parser().parse_args(['serve', '--sketch', 'x.npz'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('repro.eval', 'repro.baselines', 'repro.data'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_run_help_lists_the_estimator_registry(capsys):
+    from repro.api import estimator_names
+
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"comma-separated subset of {', '.join(estimator_names())}" in help_text

@@ -313,6 +313,50 @@ def test_replica_pool_grows_under_held_checkouts_and_caps():
     assert engine.replica_stats()["idle"] == 3
 
 
+def test_concurrent_first_predicts_lower_one_plan(monkeypatch):
+    """A fresh engine lowers its plan on first use. Two threads answering
+    at once (one on the primary context, one growing a replica) must build
+    it once and share it, and answer like a sequential engine."""
+    import time
+
+    from repro.core.compiled import _LeafGroup
+
+    ns, Q, _ = make_sketch(seed=14, dim=3, height=3, n=400)
+    expected = ns.compile(dtype="float32").predict(Q[:40])
+    engine = CompiledSketch.from_sketch(ns, dtype="float32")
+    assert not any(g.has_plan for g in engine.groups)
+    original = _LeafGroup._build_plan
+    builds = []
+
+    def slow_build(self):
+        builds.append(self)
+        time.sleep(0.05)  # widen the window a racing lowering would use
+        original(self)
+
+    monkeypatch.setattr(_LeafGroup, "_build_plan", slow_build)
+    barrier = threading.Barrier(2)
+    got, errors = {}, []
+
+    def worker(i):
+        try:
+            barrier.wait()
+            got[i] = engine.predict(Q[:40])
+        except BaseException as e:  # pragma: no cover - reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert len(builds) == len(engine.groups)
+    for i in range(2):
+        np.testing.assert_allclose(got[i], expected, rtol=0, atol=1e-6)
+    for ctx in engine._idle:
+        assert all(c._A is g._A for c, g in zip(ctx.groups, engine.groups))
+
+
 def test_replicas_share_canonical_and_plan_tensors():
     ns, Q, _ = make_sketch(seed=11, dim=3, height=3, n=400)
     engine = ns.compile(dtype="float32")

@@ -66,6 +66,7 @@ def test_pad_columns_exactly_zero_after_fusion(params):
     engine = make_sketch(**params)[0].compile().with_dtype("float32")
     assert engine.pad_widths
     for group in engine.groups:
+        group.ensure_plan()
         sizes = group.layer_sizes
         n_aff = len(group._A)
         for li, a in enumerate(group._A):

@@ -168,7 +168,7 @@ def per_key_invalidation(cache, lo, hi, namespace=b"", dim=None):
     half = 0.5 * cache.resolution
     nslen = len(namespace)
     doomed = set()
-    for key in cache._data:
+    for key in cache.keys():
         if not key.startswith(namespace) or len(key) != nslen + 1 + 8 * dim:
             continue
         mode, payload = key[nslen : nslen + 1], key[nslen + 1 :]
@@ -194,7 +194,7 @@ def _random_boxes(rng, k, d):
 def test_invalidate_region_matches_per_key_oracle(exact):
     """The vectorized scan evicts exactly what the per-key loop would, over
     namespaced, exact, quantized, overflow-fallback and mixed-width keys,
-    within one scan block and across block boundaries."""
+    in small caches and in one large key block."""
     rng = np.random.default_rng(17)
     namespaces = (b"", b"a\x00", b"bb\x00")
     for trial in range(6):
@@ -210,18 +210,18 @@ def test_invalidate_region_matches_per_key_oracle(exact):
         lo, hi = _random_boxes(rng, 1 + trial, d)
         if trial == 5:
             lo[0, 0], hi[0, 0] = -np.inf, np.inf  # unconstrained side
-        before = set(cache._data)
+        before = set(cache.keys())
         expected = per_key_invalidation(cache, lo, hi, namespace=ns)
         assert expected, "the boxes must hit something for the check to bite"
         evicted = cache.invalidate_region(lo, hi, namespace=ns)
         assert evicted == len(expected)
-        assert before - set(cache._data) == expected
+        assert before - set(cache.keys()) == expected
         assert cache.invalidations == evicted
 
-    # Chunk boundaries: more same-length keys than one scan block holds,
-    # from two namespaces of one length, in both key modes (overflowing
-    # components fall back to exact-bytes keys) and two widths, interleaved
-    # so that every block mixes them.
+    # A large key block: two namespaces of one length, in both key modes
+    # (overflowing components fall back to exact-bytes keys) and two
+    # widths, interleaved so that evicted rows are spread over the whole
+    # block and the rows moved into their holes are checked too.
     cache = AnswerCache(resolution=1e-3, exact=exact)
     for q in rng.uniform(0.0, 1.0, size=(2_600, 3)):
         for ns in (b"a\x00", b"c\x00"):
@@ -230,33 +230,45 @@ def test_invalidate_region_matches_per_key_oracle(exact):
         cache.put(np.array([3e18 * q[0], q[1]]), float(q[2]), namespace=b"a\x00")
     lo, hi = _random_boxes(rng, 3, 2)
     lo[:, 0] = -np.inf  # reach the overflow keys too
-    before = set(cache._data)
+    before = dict(cache.items())
     expected = per_key_invalidation(cache, lo, hi, namespace=b"a\x00")
-    same_length = [key for key in cache._data if len(key) == len(b"a\x00") + 1 + 8 * 2]
+    same_length = [key for key in before if len(key) == len(b"a\x00") + 1 + 8 * 2]
     assert len(same_length) > 4_096
     at = [i for i, key in enumerate(same_length) if key in expected]
-    assert at and at[0] < 4_096 <= at[-1], "the evictions must span scan blocks"
+    assert at and at[0] < len(same_length) // 4 and at[-1] > 3 * len(same_length) // 4
     evicted = cache.invalidate_region(lo, hi, namespace=b"a\x00")
     assert evicted == len(expected)
-    assert before - set(cache._data) == expected
+    after = dict(cache.items())
+    assert set(before) - set(after) == expected
+    # Survivors keep their answers and their LRU order.
+    assert after == {k: v for k, v in before.items() if k not in expected}
+    assert list(after) == [k for k in before if k not in expected]
 
 
 def test_invalidate_region_scan_memory_is_bounded():
-    """The scan reads the keys in fixed blocks, so its traced peak over a
-    full default-size cache (65,536 ten-wide keys) stays under 4 MB; one
-    byte matrix of every key would take 5.4 MB alone."""
-    cache = AnswerCache()
-    Q = np.random.default_rng(19).uniform(0.0, 1.0, size=(cache.max_entries, 10))
-    cache.put_many(Q, Q.sum(axis=1), namespace=b"s\x00")
-    lo, hi = np.array([[0.0] * 10, [0.5] * 10]), np.array([[0.5] * 10, [1.0] * 10])
-    tracemalloc.start()
-    try:
-        evicted = cache.invalidate_region(lo, hi, namespace=b"s\x00")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert evicted > 0
-    assert peak < 4 * 2**20, f"region scan peaked at {peak} bytes"
+    """The scan reads the key buffer through a zero-copy view, one column
+    at a time, so its traced peak over a full default-size cache (65,536
+    ten-wide keys) stays under 4 MB; one copied byte matrix of every key
+    would take 5.4 MB alone. The bound holds for one box per leaf of a
+    64-leaf tree too: the scan's transients do not grow with the box
+    count."""
+    Q = np.random.default_rng(19).uniform(0.0, 1.0, size=(65_536, 10))
+    two = (np.array([[0.0] * 10, [0.5] * 10]), np.array([[0.5] * 10, [1.0] * 10]))
+    # 64 boxes tiling [0, 1]^6 x [0, 0.5]^4, so a sixteenth of the keys go.
+    corners = np.array(np.meshgrid(*[[0.0, 0.5]] * 6, indexing="ij")).reshape(6, -1).T
+    lo64 = np.hstack([corners, np.zeros((64, 4))])
+    hi64 = np.hstack([corners + 0.5, np.full((64, 4), 0.5)])
+    for lo, hi in (two, (lo64, hi64)):
+        cache = AnswerCache()
+        cache.put_many(Q, Q.sum(axis=1), namespace=b"s\x00")
+        tracemalloc.start()
+        try:
+            evicted = cache.invalidate_region(lo, hi, namespace=b"s\x00")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert evicted > 0
+        assert peak < 4 * 2**20, f"{len(lo)}-box region scan peaked at {peak} bytes"
 
 
 def test_put_many_stores_what_put_would():
@@ -267,7 +279,7 @@ def test_put_many_stores_what_put_would():
     for q, a in zip(Q, answers):
         one.put(q, a, namespace=b"n\x00")
     many.put_many(Q, answers, namespace=b"n\x00")
-    assert list(many._data.items()) == list(one._data.items())
+    assert many.items() == one.items()
     bounded = AnswerCache(resolution=1e-3, max_entries=5)
     bounded.put_many(Q, answers)
     assert len(bounded) == 5 and bounded.get(Q[-1]) == answers[-1]
@@ -877,7 +889,7 @@ def test_cache_keys_match_the_numpy_oracle(exact):
     expected = [numpy_cache_key(cache, q, b"ns\x00") for q in Q]
     assert [cache.key(q, b"ns\x00") for q in Q] == expected
     cache.put_many(Q, np.arange(len(Q), dtype=np.float64), b"ns\x00")
-    assert set(cache._data) == set(expected)
+    assert set(cache.keys()) == set(expected)
 
 
 def test_cache_key_modes_cannot_alias_each_other():

@@ -301,6 +301,61 @@ def test_identical_ingest_sequences_produce_bit_identical_sketches():
         )
 
 
+def test_retrain_under_float32_serving_builds_no_canonical_plan():
+    """The float64 canonical engine only feeds retrains and re-tiering, so
+    under float32 serving it never lowers the fused plan; the serving
+    engine does, on its first answer."""
+    sketch = small_sketch(policy=MaintenancePolicy(**NEVER))
+    assert sketch.serving_dtype == "float32"
+    Q = np.random.default_rng(4).uniform(0.0, 1.0, size=(32, 2))
+    sketch.predict(Q)
+    sketch.append(rows_near(sketch, np.array([0.3, 0.3]), k=8))
+    sketch.retrain_pending()
+    assert sketch.epoch == 1
+    assert not any(g.has_plan for g in sketch.canonical.groups)
+    sketch.predict(Q)
+    assert all(g.has_plan for g in sketch.engine().groups)
+
+
+def test_lazy_plan_answers_bitwise_like_an_eager_one():
+    """Lowering the plan on first use, not at construction, changes no bit
+    of a float64 answer, batch or single."""
+    canonical = small_sketch().canonical
+    lazy = canonical.with_dtype("float32").with_dtype("float64")
+    eager = canonical.with_dtype("float32").with_dtype("float64")
+    for g in eager.groups:
+        g._build_plan()  # what construction used to do
+    assert not any(g.has_plan for g in lazy.groups)
+    Q = np.random.default_rng(8).uniform(0.0, 1.0, size=(200, 2))
+    assert lazy.predict(Q).tobytes() == eager.predict(Q).tobytes()
+    assert [lazy.predict_one(q) for q in Q[:20]] == [eager.predict_one(q) for q in Q[:20]]
+
+
+def test_one_retrain_computes_the_leaf_boxes_once(monkeypatch):
+    """Every engine a retrain builds shares one tree, whose leaf boxes are
+    computed once and memoised, not once per engine."""
+    from repro.core.compiled import FlatTree
+
+    sketch = small_sketch(policy=MaintenancePolicy(**NEVER))
+    sketch.engine()
+    sketch.append(rows_near(sketch, np.array([0.6, 0.4]), k=8))
+    tree = sketch.canonical.tree
+    tree._leaf_boxes.clear()
+    calls = []
+    compute = FlatTree._compute_leaf_boxes
+
+    def counting(self, dim):
+        calls.append(dim)
+        return compute(self, dim)
+
+    monkeypatch.setattr(FlatTree, "_compute_leaf_boxes", counting)
+    assert sketch.retrain_pending().swapped
+    assert sketch.canonical.tree is tree
+    assert calls == [sketch.input_dim]
+    lo, hi = tree.leaf_boxes(sketch.input_dim)
+    assert not lo.flags.writeable and not hi.flags.writeable
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
