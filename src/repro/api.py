@@ -23,8 +23,6 @@ and all of :mod:`repro.baselines` — implements one protocol:
 The registry at the bottom maps CLI names (``neurosketch``, ``exact``,
 ``rtree``, ``tree-agg``, ``verdictdb``, ``uniform``) to factories; the
 experiment runner and the serving layer both resolve estimators through it.
-The historical split protocols (``AQPMethod.answer/answer_one`` and the
-``eval.adapters`` wrappers) survive only as deprecation shims.
 """
 
 from __future__ import annotations

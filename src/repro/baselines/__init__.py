@@ -10,9 +10,7 @@
 - :class:`~repro.baselines.uniform.UniformAnswerEstimator` — always answers
   ``mean(y_train)``; the floor any learned estimator must beat.
 
-All of them implement the unified :class:`repro.api.Estimator` protocol;
-the historical ``answer``/``answer_one`` spellings survive as deprecation
-shims on :class:`~repro.baselines.base.AQPMethod`.
+All of them implement the unified :class:`repro.api.Estimator` protocol.
 
 DBEst-lite (mixture density networks), DeepDB-lite (sum-product networks)
 and a histogram synopsis are planned (see ROADMAP.md) but not implemented

@@ -1,19 +1,10 @@
 """Baseline AQP methods under the unified estimator protocol.
 
-Historically the baselines spoke their own protocol
-(``fit(qf)/answer/answer_one``) while :class:`NeuroSketch` spoke
-``fit(qf, Q, y)/predict/predict_one``, and ``repro.eval.adapters`` glued the
-two together. That divergence is gone: every baseline now implements
-:class:`repro.api.Estimator` natively, and :class:`AQPMethod` survives only
-to keep the old ``answer``/``answer_one`` spellings alive as deprecation
-shims that warn and delegate.
+Every baseline implements :class:`repro.api.Estimator` natively;
+:class:`AQPMethod` is their common base class.
 """
 
 from __future__ import annotations
-
-import warnings
-
-import numpy as np
 
 from repro.api import Estimator
 
@@ -22,27 +13,7 @@ class AQPMethod(Estimator):
     """Base class for the baseline engines.
 
     Subclasses implement the :class:`~repro.api.Estimator` protocol
-    (``fit``/``predict``/``predict_one``/``num_bytes``/``supports``); the
-    ``answer``/``answer_one`` methods below exist only for callers written
-    against the pre-unification API.
+    (``fit``/``predict``/``predict_one``/``num_bytes``/``supports``).
     """
 
     name: str = "abstract-aqp"
-
-    def answer(self, Q: np.ndarray) -> np.ndarray:
-        """Deprecated alias of :meth:`~repro.api.Estimator.predict`."""
-        warnings.warn(
-            "AQPMethod.answer() is deprecated; use predict()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.predict(Q)
-
-    def answer_one(self, q: np.ndarray) -> float:
-        """Deprecated alias of :meth:`~repro.api.Estimator.predict_one`."""
-        warnings.warn(
-            "AQPMethod.answer_one() is deprecated; use predict_one()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.predict_one(q)

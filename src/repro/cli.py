@@ -156,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stdio", action="store_true",
                        help="answer frames on stdin/stdout (the default when "
                             "--listen is absent)")
-    serve.add_argument("--processes", type=int, default=1, metavar="N",
-                       help="with --listen: shard the service across N worker "
-                            "processes behind a router (default 1 = the "
-                            "in-process asyncio server)")
     serve.add_argument("--workers", type=int, default=4,
                        help="micro-batch flush workers; each concurrent flush "
                             "uses its own engine replica. A compiled sketch "
@@ -190,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mutable", action="store_true",
                        help="accept `ingest` frames (the artifact must be a "
                             "stream bundle written by `repro run --save-stream`)")
-    serve.add_argument("--no-shared-weights", action="store_true",
-                       help="with --processes N: skip the shared-memory weight "
-                            "publish and give every worker its own copy "
-                            "(the pre-shm behavior; also the automatic "
-                            "fallback where POSIX shm is unavailable)")
 
     ingest = sub.add_parser(
         "ingest",
@@ -360,70 +351,13 @@ def _stdio_loop(service, max_line_bytes: int, timeout_s: float) -> None:
     # One frame -> one response; answer_frame never raises and encode_safe
     # never emits bare NaN JSON.
     from repro.serve import protocol
-    from repro.serve.worker import answer_frame
+    from repro.serve.service import answer_frame
 
     for raw in sys.stdin:
         if not raw.strip():
             continue
         response = answer_frame(service, raw.strip(), max_line_bytes, timeout_s)
         print(protocol.encode_safe(response), flush=True)
-
-
-def _serve_sharded(args: argparse.Namespace, max_line_bytes: int) -> int:
-    """``repro serve --listen ... --processes N``: the multi-process router."""
-    import threading
-
-    from repro.serve import prepare_worker_artifact, start_router_thread
-    from repro.serve.client import parse_address
-
-    worker_args = [
-        "--workers", str(args.workers),
-        "--max-batch", str(args.max_batch),
-        "--max-delay-ms", str(args.max_delay_ms),
-        "--request-timeout-s", str(args.request_timeout_s),
-        "--cache-resolution", str(args.cache_resolution),
-        "--infer-dtype", args.infer_dtype,
-    ]
-    if args.no_cache:
-        worker_args.append("--no-cache")
-    if args.cache_exact:
-        worker_args.append("--cache-exact")
-    if args.mutable:
-        worker_args.append("--mutable")
-    artifact = None
-    try:
-        host, port = parse_address(args.listen)
-        # Spill once to the binary boot format so N workers don't each
-        # re-parse the gzip-JSON artifact (also validates it up front).
-        artifact = prepare_worker_artifact(args.sketch)
-        handle = start_router_thread(
-            artifact,
-            processes=args.processes,
-            host=host,
-            port=port,
-            max_line_bytes=max_line_bytes,
-            worker_args=tuple(worker_args),
-            share_weights=not args.no_shared_weights,
-        )
-    except (OSError, ValueError, EOFError, RuntimeError) as exc:
-        if artifact is not None and artifact != args.sketch:
-            os.unlink(artifact)
-        return _operator_error(exc)
-    bound = "{}:{}".format(*handle.address)
-    shared = handle.router.router_stats().get("shared_weights")
-    via = f" (weights shared via {shared['uri']})" if shared else ""
-    print(f"[repro serve] loaded {args.sketch}; routing {bound} across "
-          f"{args.processes} worker processes{via}", file=sys.stderr)
-    try:
-        threading.Event().wait()  # serve until interrupted
-    except KeyboardInterrupt:
-        print("[repro serve] draining...", file=sys.stderr)
-    finally:
-        handle.stop()
-        if artifact != args.sketch:
-            os.unlink(artifact)
-    print("[repro serve] stopped", file=sys.stderr)
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -434,15 +368,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.listen and args.stdio:
         return _operator_error(ValueError("--listen and --stdio are mutually exclusive"))
-    if args.processes < 1:
-        return _operator_error(ValueError("--processes must be >= 1"))
-    if args.processes > 1 and not args.listen:
-        return _operator_error(ValueError("--processes needs --listen (stdio is single-process)"))
     max_line_bytes = (
         protocol.MAX_LINE_BYTES if args.max_line_bytes is None else args.max_line_bytes
     )
-    if args.processes > 1:
-        return _serve_sharded(args, max_line_bytes)
     try:
         sketch = load_sketch(args.sketch, dtype=args.infer_dtype)
     # EOFError: a truncated gzip stream ends without the stream marker.

@@ -1787,14 +1787,13 @@ class CompiledSketch:
             return cls.from_dict(json.load(fh), dtype=dtype)
 
     def save_npz(self, path: str) -> None:
-        """Spill to an uncompressed binary ``.npz`` for fast process spawn.
+        """Save as an uncompressed binary ``.npz`` that loads fast.
 
         The gzip-JSON artifact is the durable interchange format; this one
-        exists so a sharding router can hand freshly spawned worker
-        processes something they load in milliseconds — binary float64
-        arrays round-trip bit-exactly and skip JSON number parsing
-        entirely. Same canonical (unfused) weights as :meth:`to_dict`, so
-        :meth:`load_npz` rebuilds a bit-identical engine on any tier.
+        loads in milliseconds — binary float64 arrays round-trip bit-exactly
+        and skip JSON number parsing entirely. Same canonical (unfused)
+        weights as :meth:`to_dict`, so :meth:`load_npz` rebuilds a
+        bit-identical engine on any tier.
         """
         arrays = self.npz_payload()
         meta = {
@@ -1876,7 +1875,7 @@ class CompiledSketch:
 
     @classmethod
     def load_npz(cls, path: str, dtype: str | None = None) -> "CompiledSketch":
-        """Rebuild from a :meth:`save_npz` spill (the worker boot path)."""
+        """Rebuild from a :meth:`save_npz` file (what ``repro serve`` boots)."""
         with np.load(path) as payload:
             if "meta" not in payload.files:
                 raise ValueError(f"not a compiled-sketch npz payload: {path}")

@@ -9,7 +9,6 @@ wrapper over this package.
 """
 
 from repro.eval.adapters import (
-    BaselineEstimator,
     Estimator,
     NeuroSketchEstimator,
     UniformAnswerEstimator,
@@ -45,7 +44,6 @@ from repro.eval.timing import LatencyStats, time_batch, time_per_query, timed
 __all__ = [
     "Estimator",
     "NeuroSketchEstimator",
-    "BaselineEstimator",
     "UniformAnswerEstimator",
     "build_estimator",
     "register_estimator",

@@ -1,4 +1,4 @@
-"""Estimator registry entries (and deprecation shims for the old adapters).
+"""Estimator registry entries.
 
 The estimator protocol itself lives in :mod:`repro.api` — one
 :class:`~repro.api.Estimator` ABC that :class:`NeuroSketch` and every
@@ -12,8 +12,6 @@ define are gone. What remains here is:
 - the built-in registry entries (``neurosketch``, ``exact``, ``rtree``,
   ``tree-agg``, ``verdictdb``, ``uniform``) resolved by the CLI, the
   experiment runner and the serving layer.
-- :class:`BaselineEstimator` — a deprecated wrapper that warns and
-  delegates, for callers written against the pre-unification API.
 
 Registered estimators:
 
@@ -30,8 +28,6 @@ Registered estimators:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.api import (
@@ -41,7 +37,6 @@ from repro.api import (
     register_estimator,
     resolve_estimator_name,
 )
-from repro.baselines.base import AQPMethod
 from repro.baselines.exact import ExactScan
 from repro.baselines.tree_agg import TreeAgg
 from repro.baselines.uniform import UniformAnswerEstimator
@@ -53,7 +48,6 @@ from repro.nn.training import TrainConfig
 __all__ = [
     "Estimator",
     "NeuroSketchEstimator",
-    "BaselineEstimator",
     "UniformAnswerEstimator",
     "build_estimator",
     "estimator_names",
@@ -153,53 +147,6 @@ class NeuroSketchEstimator(NeuroSketch):
     def predict_one_object(self, q: np.ndarray) -> float:
         """Reference object-path single-query predict."""
         return super().predict_one(q, compiled=False)
-
-
-class BaselineEstimator(Estimator):
-    """Deprecated: baselines implement :class:`~repro.api.Estimator` natively.
-
-    Kept so pre-unification callers (``BaselineEstimator(TreeAgg(...))``)
-    keep working; it warns on construction and delegates every call.
-    """
-
-    def __init__(self, method: AQPMethod, name: str | None = None) -> None:
-        warnings.warn(
-            "BaselineEstimator is deprecated: baselines implement the "
-            "repro.api.Estimator protocol directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._method = method
-        self.name = name if name is not None else method.name.lower()
-
-    def fit(self, query_function=None, Q_train=None, y_train=None) -> "BaselineEstimator":
-        # Pre-unification AQPMethod subclasses declared fit(query_function,
-        # **kwargs); pass only what both signatures accept.
-        self._method.fit(query_function)
-        return self
-
-    def _is_old_style(self) -> bool:
-        # An old-style subclass overrides answer() but never predict();
-        # checking the override (rather than catching NotImplementedError)
-        # keeps a concrete estimator's own NotImplementedError — e.g.
-        # VerdictLite on STD — propagating undisturbed.
-        return type(self._method).predict is Estimator.predict
-
-    def predict(self, Q: np.ndarray) -> np.ndarray:
-        if self._is_old_style():
-            return self._method.answer(Q)
-        return self._method.predict(Q)
-
-    def predict_one(self, q: np.ndarray) -> float:
-        if self._is_old_style():
-            return float(self._method.answer(np.atleast_2d(q))[0])
-        return self._method.predict_one(q)
-
-    def num_bytes(self) -> int:
-        return self._method.num_bytes()
-
-    def supports(self, query_function) -> bool:
-        return self._method.supports(query_function)
 
 
 # --------------------------------------------------------------------- registry

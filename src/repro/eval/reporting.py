@@ -113,9 +113,9 @@ def format_result_table(result: ExperimentResult) -> str:
     )
     footer = ""
     for est in result.estimators:
-        for line in (_fmt_concurrent_line(est), _fmt_parallel_line(est)):
-            if line:
-                footer += f"\n{est.name} {line}"
+        line = _fmt_parallel_line(est)
+        if line:
+            footer += f"\n{est.name} {line}"
     return header + _table(headers, rows) + footer
 
 
@@ -142,38 +142,6 @@ def _fmt_parallel_line(est) -> str | None:
         f"{par['single_normalized_mae']:.4f}, "
         f"{par['boundary_merged_leaves']} boundary-merged leaves"
     )
-
-
-def _fmt_concurrent_line(est) -> str | None:
-    """One-line concurrent-serving summary (None without a concurrent block)."""
-    conc = (est.service or {}).get("concurrent")
-    if not conc:
-        return None
-    parity = conc.get("parity_max_abs_diff", {})
-    exact = all(v == 0.0 for v in parity.values()) if parity else False
-    line = (
-        f"serving: {conc['n_clients']} clients over the socket -> "
-        f"{conc['sustained_qps']:,.0f} q/s sustained, "
-        f"p50 {_fmt_seconds(conc['p50_latency_s'])} / "
-        f"p99 {_fmt_seconds(conc['p99_latency_s'])} closed-loop, "
-        f"{conc.get('replicas', '?')} engine replicas, "
-        f"parity {'exact' if exact else 'DRIFTED'} per tier"
-    )
-    scaling = conc.get("scaling") or []
-    if scaling:
-        curve = ", ".join(
-            f"{point['processes']}p {point['sustained_qps']:,.0f}" for point in scaling
-        )
-        shard_exact = all(
-            v == 0.0
-            for point in scaling
-            for v in point.get("parity_max_abs_diff", {}).values()
-        )
-        line += (
-            f"; sharded {curve} q/s by router process count "
-            f"(parity {'exact' if shard_exact else 'DRIFTED'})"
-        )
-    return line
 
 
 def format_comparison_table(benches: dict[str, dict]) -> str:

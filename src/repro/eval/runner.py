@@ -89,13 +89,6 @@ class ExperimentConfig:
     # retraining against a full rebuild (the BENCH `stream` block). False
     # skips it; it also needs "neurosketch" among the estimators.
     stream_bench: bool = True
-    # Concurrent-serving bench: client connections driven against a live
-    # socket server (the `service.concurrent` BENCH block). The issue's
-    # acceptance bar is >= 8.
-    service_clients: int = 8
-    # Multi-process scaling bench: worker process counts for the sharding
-    # router curve (`service.concurrent.scaling`). Empty disables it.
-    service_processes: tuple[int, ...] = (1, 2, 4)
     # Timing harness.
     n_timing_queries: int = 200
     timing_warmup: int = 20
@@ -146,11 +139,6 @@ class ExperimentConfig:
             raise ValueError("sample_frac must be in (0, 1]")
         if self.n_timing_queries < 1 or self.timing_warmup < 0 or self.timing_repeats < 1:
             raise ValueError("timing knobs must be positive (warmup may be 0)")
-        if self.service_clients < 1:
-            raise ValueError("service_clients must be >= 1")
-        object.__setattr__(self, "service_processes", tuple(self.service_processes))
-        if any(int(p) < 1 for p in self.service_processes):
-            raise ValueError("service_processes entries must be >= 1")
 
     def fast_profile(self) -> "ExperimentConfig":
         """A copy clamped for CI smoke runs (< 1 minute end-to-end)."""
@@ -175,15 +163,11 @@ class ExperimentConfig:
             n_timing_queries=min(self.n_timing_queries, 50),
             timing_warmup=min(self.timing_warmup, 5),
             timing_repeats=min(self.timing_repeats, 2),
-            # Keep the scaling curve but cap the fleet: booting 4 worker
-            # processes is full-run territory.
-            service_processes=tuple(p for p in self.service_processes if p <= 2),
         )
 
     def to_dict(self) -> dict:
         out = asdict(self)
         out["estimators"] = list(self.estimators)
-        out["service_processes"] = list(self.service_processes)
         return out
 
 
@@ -319,276 +303,6 @@ def _time_service(estimator, pred, Q_test, Q_timing, config) -> dict:
         out["segment_stats"] = engine.segment_stats()
     except (AttributeError, TypeError):
         pass
-    return out
-
-
-def _worker_memory(pids, shm_token: str | None) -> list[dict]:
-    """Per-process resident memory, split out for the shared weight block.
-
-    ``pss_bytes`` is the proportional set size from ``smaps_rollup`` (each
-    shared page divided by its mapper count — the honest per-worker
-    footprint). When ``shm_token`` names a published weight block, the
-    ``/dev/shm`` mappings holding it are summed separately: across N
-    workers the block's Rss appears N times but its summed Pss stays ~1x
-    the block size, which is what "shared, not duplicated" looks like in
-    the kernel's accounting. Best-effort — returns what /proc offers.
-    """
-    out: list[dict] = []
-    for pid in pids:
-        entry: dict = {"pid": int(pid)}
-        try:
-            with open(f"/proc/{pid}/smaps_rollup") as fh:
-                for line in fh:
-                    if line.startswith("Rss:"):
-                        entry["rss_bytes"] = int(line.split()[1]) * 1024
-                    elif line.startswith("Pss:"):
-                        entry["pss_bytes"] = int(line.split()[1]) * 1024
-        except OSError:
-            continue
-        if shm_token:
-            shm_rss = shm_pss = 0
-            try:
-                with open(f"/proc/{pid}/smaps") as fh:
-                    in_block = False
-                    for line in fh:
-                        # Mapping header lines start with the address range
-                        # ("7f..-7f.. perms ..."); attribute lines with a
-                        # "Key:" token. Every header re-decides membership,
-                        # else anonymous mappings after the block would be
-                        # miscounted into it.
-                        first = line.split(maxsplit=1)[0] if line.strip() else ""
-                        if "-" in first:
-                            in_block = "/dev/shm/" in line and shm_token in line
-                        elif in_block and line.startswith("Rss:"):
-                            shm_rss += int(line.split()[1]) * 1024
-                        elif in_block and line.startswith("Pss:"):
-                            shm_pss += int(line.split()[1]) * 1024
-            except OSError:
-                pass
-            else:
-                entry["shm_rss_bytes"] = shm_rss
-                entry["shm_pss_bytes"] = shm_pss
-        out.append(entry)
-    return out
-
-
-def _time_service_concurrent(estimator, Q_test, config) -> dict:
-    """Drive a live socket server with concurrent clients (BENCH block).
-
-    Three phases against real :class:`~repro.serve.server.SketchServer`
-    instances on loopback, ``config.service_clients`` connections each:
-
-    - *parity* — per dtype tier, every client sends its full workload as
-      one ``BatchQueryRequest`` on its own sketch entry. With the cache
-      off, an idle entry's batcher hands exactly that block to the shared
-      engine, so the wire answers must be bitwise-equal to a local
-      ``predict`` (JSON float repr round-trips float64 exactly) even while
-      the clients run concurrently across engine replicas.
-    - *sustained* — all clients pipeline single-query frames back to back
-      on one shared entry; the micro-batcher merges them and the flush
-      workers fan out over the replica pool. Reported as sustained q/s.
-    - *closed loop* — one outstanding request per client, per-request
-      wall times pooled into p50/p99 latency.
-    - *scaling* — the same clients pipeline through a
-      :class:`~repro.serve.router.SketchRouter` at each worker process
-      count in ``config.service_processes``, recording sustained q/s and
-      per-tier wire parity per point. This puts the single-process
-      ceiling (the phases above) next to the multi-process trajectory.
-    """
-    import os
-    import tempfile
-    import threading
-    import time
-
-    from repro.serve import Client, SketchService, start_router_thread, start_server_thread
-    from repro.serve.protocol import PROTOCOL_VERSION
-
-    n_clients = int(config.service_clients)
-    tiers = ("float32", "float64")
-    engines = {tier: estimator.compile(dtype=tier) for tier in tiers}
-
-    def fanout(worker) -> float:
-        """Run ``worker(i)`` on every client thread; return the wall time
-        from the common start barrier to the last finish."""
-        barrier = threading.Barrier(n_clients + 1)
-        failures: list[Exception] = []
-
-        def body(i: int) -> None:
-            try:
-                worker(i, barrier)
-            except Exception as exc:
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=body, args=(i,), daemon=True) for i in range(n_clients)
-        ]
-        for t in threads:
-            t.start()
-        barrier.wait(timeout=60.0)
-        start = time.perf_counter()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - start
-        if failures:
-            raise failures[0]
-        return elapsed
-
-    out: dict = {
-        "n_clients": n_clients,
-        "protocol_version": PROTOCOL_VERSION,
-        "dtype": config.infer_dtype,
-    }
-
-    # --- parity: concurrent batch frames, per-client entries, cache off ---
-    with SketchService(cache=False, workers=n_clients) as svc:
-        for tier in tiers:
-            for c in range(n_clients):
-                svc.register(f"{tier}-c{c}", engines[tier])
-        handle = start_server_thread(svc)
-        try:
-            expected = {
-                tier: np.asarray(engines[tier].predict(Q_test), dtype=np.float64)
-                for tier in tiers
-            }
-            diffs = {tier: np.zeros(n_clients) for tier in tiers}
-
-            def parity_worker(i: int, barrier) -> None:
-                with Client.connect(handle.address) as client:
-                    barrier.wait(timeout=60.0)
-                    for tier in tiers:
-                        answers = client.ask_many(Q_test, sketch=f"{tier}-c{i}")
-                        diffs[tier][i] = float(np.max(np.abs(answers - expected[tier])))
-
-            fanout(parity_worker)
-            out["parity_max_abs_diff"] = {
-                tier: float(np.max(diffs[tier])) for tier in tiers
-            }
-        finally:
-            handle.stop()
-
-    # --- throughput + latency: one shared entry on the served tier ---
-    served = engines[config.infer_dtype]
-    n_pipeline = Q_test.shape[0] if config.fast else max(2_000, Q_test.shape[0])
-    Q_pipeline = Q_test[np.arange(n_pipeline) % Q_test.shape[0]]
-    n_closed = min(Q_test.shape[0], 50 if config.fast else 200)
-    with SketchService(cache=False, workers=min(n_clients, 8)) as svc:
-        svc.register("bench", served)
-        handle = start_server_thread(svc)
-        try:
-            def sustained_worker(i: int, barrier) -> None:
-                with Client.connect(handle.address) as client:
-                    barrier.wait(timeout=60.0)
-                    client.ask_many(Q_pipeline, sketch="bench", pipeline=True)
-
-            elapsed = fanout(sustained_worker)
-            out["sustained_total_queries"] = int(n_clients * n_pipeline)
-            out["sustained_qps"] = out["sustained_total_queries"] / elapsed
-
-            latencies = [np.zeros(n_closed) for _ in range(n_clients)]
-
-            def closed_loop_worker(i: int, barrier) -> None:
-                with Client.connect(handle.address) as client:
-                    barrier.wait(timeout=60.0)
-                    for j in range(n_closed):
-                        t0 = time.perf_counter()
-                        client.ask(Q_test[j], sketch="bench")
-                        latencies[i][j] = time.perf_counter() - t0
-
-            elapsed = fanout(closed_loop_worker)
-            pooled = np.concatenate(latencies)
-            out["closed_loop_qps"] = pooled.size / elapsed
-            out["p50_latency_s"] = float(np.percentile(pooled, 50))
-            out["p99_latency_s"] = float(np.percentile(pooled, 99))
-            engine_stats = svc.stats("bench").get("engine")
-            if engine_stats is not None:
-                out["replicas"] = engine_stats["replicas"]
-                out["max_replicas"] = engine_stats["max_replicas"]
-            out["workers"] = svc.workers
-        finally:
-            handle.stop()
-
-    # --- scaling: the sharding router at each worker process count ---
-    if config.service_processes and callable(getattr(served, "save_npz", None)):
-        fd, artifact = tempfile.mkstemp(suffix=".npz", prefix="repro-bench-")
-        os.close(fd)
-        scaling: list[dict] = []
-        try:
-            served.save_npz(artifact)
-            for n_proc in config.service_processes:
-                worker_args = (
-                    # Cache off pins wire parity; --register-tiers exposes the
-                    # float32/float64 entries the parity pass asks by name.
-                    "--no-cache",
-                    "--register-tiers",
-                    # Partition the flush-thread budget across shards instead
-                    # of multiplying it: N processes x full thread count just
-                    # thrashes the scheduler once cores are saturated.
-                    "--workers", str(max(1, min(n_clients, 8) // int(n_proc))),
-                )
-                handle = start_router_thread(
-                    artifact, processes=int(n_proc), worker_args=worker_args
-                )
-                try:
-                    diffs = {tier: np.zeros(n_clients) for tier in tiers}
-
-                    def shard_parity_worker(i: int, barrier) -> None:
-                        with Client.connect(handle.address) as client:
-                            barrier.wait(timeout=60.0)
-                            for tier in tiers:
-                                answers = client.ask_many(Q_test, sketch=tier)
-                                diffs[tier][i] = float(
-                                    np.max(np.abs(answers - expected[tier]))
-                                )
-
-                    fanout(shard_parity_worker)
-
-                    def shard_sustained_worker(i: int, barrier) -> None:
-                        with Client.connect(handle.address) as client:
-                            barrier.wait(timeout=60.0)
-                            client.ask_many(
-                                Q_pipeline, sketch=config.infer_dtype, pipeline=True
-                            )
-
-                    elapsed = fanout(shard_sustained_worker)
-                    entry = {
-                        "processes": int(n_proc),
-                        "sustained_qps": n_clients * n_pipeline / elapsed,
-                        "parity_max_abs_diff": {
-                            tier: float(np.max(diffs[tier])) for tier in tiers
-                        },
-                    }
-                    # Weight-memory accounting, measured while the shards
-                    # are warm from the sustained run: every worker's PSS
-                    # plus the shared weight block's split-out mappings.
-                    stats = handle.router.router_stats()
-                    shared = stats.get("shared_weights")
-                    pids = [
-                        w["pid"] for w in stats["workers"] if w["pid"] is not None
-                    ]
-                    token = shared["uri"].split("://", 1)[1] if shared else None
-                    mem = _worker_memory(pids, token)
-                    entry["rss_per_worker_bytes"] = [
-                        m.get("pss_bytes") for m in mem
-                    ]
-                    if shared is not None:
-                        entry["shared_weights"] = {
-                            **shared,
-                            "workers_mapping": sum(
-                                1 for m in mem if m.get("shm_rss_bytes", 0) > 0
-                            ),
-                            "sum_shm_pss_bytes": sum(
-                                m.get("shm_pss_bytes", 0) for m in mem
-                            ),
-                            "sum_shm_rss_bytes": sum(
-                                m.get("shm_rss_bytes", 0) for m in mem
-                            ),
-                        }
-                    scaling.append(entry)
-                finally:
-                    handle.stop()
-        finally:
-            os.unlink(artifact)
-        out["scaling"] = scaling
     return out
 
 
@@ -871,8 +585,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
         if config.service and getattr(estimator, "compile_enabled", False):
             say(f"timing {name} service path (micro-batch, answer cache)")
             service = _time_service(estimator, pred, Q_test, Q_timing, config)
-            say(f"timing {name} concurrent serving ({config.service_clients} clients)")
-            service["concurrent"] = _time_service_concurrent(estimator, Q_test, config)
 
         # Construction path: when the estimator has swappable training
         # backends, fit a fresh instance with the *other* backend so the

@@ -337,9 +337,9 @@ def encode(message: Request | Response) -> str:
 def encode_safe(response: "Response") -> str:
     """Encode a response, downgrading non-finite answers to an error frame.
 
-    Every serving loop (socket server, stdio loop, sharding worker) must
-    never put RFC-invalid bare ``NaN`` on the wire; this is the one shared
-    fallback they all use.
+    Both serving loops (socket server, stdio loop) must never put
+    RFC-invalid bare ``NaN`` on the wire; this is the one shared fallback
+    they use.
     """
     try:
         return encode(response)
@@ -351,25 +351,6 @@ def encode_safe(response: "Response") -> str:
                 id=getattr(response, "id", None),
             )
         )
-
-
-def is_ingest_frame(line: bytes) -> bool:
-    """Cheaply decide whether a raw frame is an ingest request.
-
-    The router (which never parses frames on the query hot path) uses this
-    to divert mutations onto the broadcast path: a quick substring test
-    rejects almost every query frame without a parse, and only candidates
-    pay the JSON confirmation. Invalid JSON answers ``False`` — the frame
-    then takes the normal path and earns its ``bad-json`` error from a
-    worker.
-    """
-    if b'"ingest"' not in line:
-        return False
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return isinstance(payload, dict) and payload.get("op") == "ingest"
 
 
 def check_line_size(line: str | bytes, max_bytes: int = MAX_LINE_BYTES) -> None:

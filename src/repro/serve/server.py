@@ -38,8 +38,8 @@ Robustness contract (exercised by ``tests/test_server.py``):
   closing — no request is dropped.
 
 :func:`start_server_thread` runs the whole loop in a daemon thread and
-returns a handle with ``.address`` / ``.stop()``, which is how the CLI,
-the eval runner and the tests embed a live server.
+returns a handle with ``.address`` / ``.stop()``, which is how the CLI
+and the tests embed a live server.
 """
 
 from __future__ import annotations
@@ -516,8 +516,7 @@ def start_server_thread(
     """Start a :class:`SketchServer` on a daemon event-loop thread.
 
     Returns once the socket is bound (or re-raises the bind error in the
-    caller). The CLI, the eval runner's concurrency bench and the tests
-    all embed servers through this.
+    caller). The CLI and the tests embed servers through this.
     """
     server = SketchServer(
         service,

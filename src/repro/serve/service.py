@@ -44,6 +44,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
+from repro.serve import protocol
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import AnswerCache
 from repro.serve.protocol import ErrorResponse, ProtocolError
@@ -89,8 +90,8 @@ class ImmutableSketchError(RuntimeError):
 def error_response(exc: Exception, id: object, timeout_s: float) -> ErrorResponse:
     """The wire error frame for an exception raised while answering a request.
 
-    The one exception-to-code table of every transport (socket server,
-    stdio loop, shard worker): malformed frames keep their own protocol
+    The one exception-to-code table of both transports (socket server,
+    stdio loop): malformed frames keep their own protocol
     code, an unknown sketch name is ``unknown-sketch``, an ingest refused
     is ``immutable``, a missed deadline of ``timeout_s`` is ``timeout``, and
     anything the sketch itself raised is ``internal``.
@@ -109,6 +110,55 @@ def error_response(exc: Exception, id: object, timeout_s: float) -> ErrorRespons
     return ErrorResponse(error=f"{type(exc).__name__}: {exc}", code="internal", id=id)
 
 
+def answer_frame(service, raw_line, max_line_bytes: int, timeout_s: float):
+    """One protocol frame -> one protocol response (never raises).
+
+    The synchronous transport's request handler, used by the CLI's
+    ``repro serve --stdio`` loop; it speaks only :mod:`repro.serve.protocol`
+    dataclasses and maps exceptions through :func:`error_response`, the
+    table the asyncio server uses too.
+    """
+    rid = None
+    try:
+        protocol.check_line_size(raw_line, max_line_bytes)
+        request = protocol.decode_request(raw_line)
+        rid = request.id
+        if isinstance(request, protocol.StatsRequest):
+            return protocol.StatsResponse(stats=service.stats(request.sketch), id=rid)
+        if isinstance(request, protocol.EpochRequest):
+            info = service.epoch_info(request.sketch)
+            return protocol.EpochResponse(
+                epoch=info["epoch"],
+                data_version=info["data_version"],
+                id=rid,
+                sketch=request.sketch,
+            )
+        if isinstance(request, protocol.IngestRequest):
+            summary = service.ingest(
+                rows=list(request.rows) if request.rows else None,
+                delete=request.delete,
+                sketch=request.sketch,
+            )
+            return protocol.IngestResponse(ingest=summary, id=rid, sketch=request.sketch)
+        if isinstance(request, protocol.BatchQueryRequest):
+            answers = service.ask_many(
+                np.asarray(request.q, dtype=np.float64), request.sketch
+            )
+            return protocol.BatchQueryResponse(
+                answers=tuple(float(a) for a in answers), id=rid, sketch=request.sketch
+            )
+        fut = service.submit(np.asarray(request.q, dtype=np.float64), request.sketch)
+        answer = fut.result(timeout=timeout_s)
+        return protocol.QueryResponse(
+            answer=float(answer),
+            cached=bool(getattr(fut, "cached", False)),
+            id=rid,
+            sketch=request.sketch,
+        )
+    except Exception as exc:  # a bad frame must not kill the loop
+        return error_response(exc, rid, timeout_s)
+
+
 def load_sketch(path: str, dtype: str | None = None):
     """Load a saved sketch artifact into its servable form.
 
@@ -118,9 +168,7 @@ def load_sketch(path: str, dtype: str | None = None):
     payload is loaded and compiled; a ``.npz`` path loads the binary spill
     (:meth:`~repro.core.compiled.CompiledSketch.load_npz`) or, when it is
     a stream bundle, the mutable
-    :class:`~repro.stream.sketch.StreamingSketch`; a ``shm://`` URI
-    attaches a published shared-memory weight block read-only
-    (:func:`repro.serve.shm.attach_sketch`).
+    :class:`~repro.stream.sketch.StreamingSketch`.
 
     ``dtype`` picks the compiled engine's execution tier. ``None`` keeps
     the artifact's own recorded tier (``float64`` for payloads predating
@@ -131,10 +179,6 @@ def load_sketch(path: str, dtype: str | None = None):
     from repro.core.compiled import CompiledSketch
     from repro.core.neurosketch import NeuroSketch
 
-    if path.startswith("shm://"):
-        from repro.serve.shm import attach_sketch
-
-        return attach_sketch(path, dtype=dtype)
     if path.endswith(".npz"):
         from repro.stream.sketch import is_stream_bundle, load_stream_sketch
 

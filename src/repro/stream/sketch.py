@@ -30,7 +30,7 @@ A :class:`StreamingSketch` wraps a canonical float64
 
 Retraining is deterministic by construction: dirty slot ``l`` at epoch
 ``e`` initializes and shuffles from seeds derived as ``(seed, e, l)``, so
-two sketches that apply the same mutation sequence — e.g. a router worker
+two sketches that apply the same mutation sequence — e.g. a served sketch
 and an in-process reference — produce bit-identical engines.
 """
 
@@ -231,11 +231,6 @@ class StreamingSketch:
         ]
         if any(idx.size == 0 for idx in self._q_by_leaf):
             raise ValueError("every leaf needs at least one training query")
-        #: Optional :class:`repro.serve.shm.ShmPublisher`: when set (see
-        #: :meth:`set_weight_publisher`), every retrain republishes the
-        #: serving-tier engine as a fresh shm epoch block. ``copy.copy``
-        #: views share it, matching the shared ``_mut`` epoch state.
-        self.weight_publisher = None
 
     # ------------------------------------------------------------------ build
 
@@ -387,15 +382,6 @@ class StreamingSketch:
         view.serving_dtype = dtype
         view.engine(dtype)
         return view
-
-    def set_weight_publisher(self, publisher) -> None:
-        """Republish the serving engine to ``publisher`` on every retrain.
-
-        ``publisher`` is a :class:`repro.serve.shm.ShmPublisher` (or
-        ``None`` to detach). The caller owns the publisher's lifetime;
-        this sketch only calls ``republish`` after each hot-swap.
-        """
-        self.weight_publisher = publisher
 
     def replica_stats(self) -> dict:
         return self.engine().replica_stats()
@@ -704,16 +690,6 @@ class StreamingSketch:
             engines = list(self._engines.items())
         for tier, eng in engines:
             eng.swap_from(_fresh_engine(new_canonical, tier))
-        # Shared-memory serving: the swap above changed in-process engines
-        # only; publish the new epoch's weights as a fresh shm block so
-        # attachers (worker respawns, refreshes) map the new epoch while
-        # already-mapped workers keep serving their pinned one.
-        publisher = self.weight_publisher
-        if publisher is not None:
-            try:
-                publisher.republish(self.engine(self.serving_dtype))
-            except Exception:  # pragma: no cover - publish is best-effort
-                pass
         retrain_s = time.perf_counter() - t0
         self.record_stage("retrain_s", retrain_s)
         return retrain_s

@@ -1,4 +1,4 @@
-"""The unified estimator protocol (repro.api) and its deprecation shims."""
+"""The unified estimator protocol (repro.api)."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from repro.baselines import (
 )
 from repro.core.neurosketch import NeuroSketch
 from repro.data import load_dataset
-from repro.eval.adapters import BaselineEstimator, NeuroSketchEstimator
+from repro.eval.adapters import NeuroSketchEstimator
 from repro.queries import QueryFunction, WorkloadGenerator
 
 
@@ -87,30 +87,6 @@ def test_save_refuses_non_serializable_estimators(tmp_path, problem):
         est.save(str(tmp_path / "exact.json.gz"))
 
 
-def test_answer_shims_warn_and_delegate(problem):
-    qf, Q, y = problem
-    est = TreeAgg(sample_size=1.0, seed=0).fit(qf, Q, y)
-    with pytest.warns(DeprecationWarning, match="answer"):
-        batch = est.answer(Q)
-    np.testing.assert_array_equal(batch, est.predict(Q))
-    with pytest.warns(DeprecationWarning, match="answer_one"):
-        one = est.answer_one(Q[0])
-    assert one == est.predict_one(Q[0])
-
-
-def test_baseline_estimator_wrapper_warns_and_delegates(problem):
-    qf, Q, y = problem
-    with pytest.warns(DeprecationWarning, match="BaselineEstimator"):
-        est = BaselineEstimator(ExactScan(), name="exact")
-    est.fit(qf, Q, y)
-    np.testing.assert_allclose(est.predict(Q), y)
-    assert est.predict_one(Q[0]) == pytest.approx(y[0])
-    # The sorted index: X transposed, int64 argsort and sorted keys per
-    # attribute, plus the measure copy.
-    n, d = qf.dataset.X.shape
-    assert est.num_bytes() == (3 * d + 1) * n * 8
-
-
 def test_register_estimator_round_trip():
     class Dummy(Estimator):
         name = "dummy-protocol-test"
@@ -139,31 +115,6 @@ def test_resolve_rejects_unknown_names():
         resolve_estimator_name("martians")
 
 
-def test_baseline_estimator_supports_pre_unification_subclasses(problem):
-    # A subclass written against the old protocol: fit(qf, **kwargs) and an
-    # answer() override, no predict(). The wrapper must still drive it.
-    qf, Q, y = problem
-
-    class OldStyle(AQPMethod):
-        name = "old-style"
-
-        def fit(self, query_function, **kwargs):
-            self._qf = query_function
-            return self
-
-        def answer(self, Q):
-            return self._qf(Q)
-
-        def num_bytes(self):
-            return 0
-
-    with pytest.warns(DeprecationWarning, match="BaselineEstimator"):
-        est = BaselineEstimator(OldStyle())
-    est.fit(qf, Q, y)
-    np.testing.assert_allclose(est.predict(Q), y)
-    assert est.predict_one(Q[0]) == pytest.approx(y[0])
-
-
 def test_failed_save_leaves_existing_artifact_intact(tmp_path, problem):
     qf, Q, y = problem
     path = tmp_path / "artifact.json.gz"
@@ -172,17 +123,3 @@ def test_failed_save_leaves_existing_artifact_intact(tmp_path, problem):
     with pytest.raises(NotImplementedError):
         est.save(str(path))
     assert path.read_bytes() == b"precious bytes"
-
-
-def test_baseline_wrapper_propagates_real_not_implemented(problem):
-    # VerdictLite raising NotImplementedError for STD must surface as-is,
-    # not be swallowed by the old-protocol fallback (which would emit a
-    # spurious DeprecationWarning; pytest runs with warnings-as-errors).
-    qf, Q, y = problem
-    with pytest.warns(DeprecationWarning, match="BaselineEstimator"):
-        est = BaselineEstimator(VerdictLite(sample_size=0.5, seed=0))
-    est.fit(qf.with_aggregate("STD"), Q, y)
-    with pytest.raises(NotImplementedError, match="STD"):
-        est.predict(Q)
-    with pytest.raises(NotImplementedError, match="STD"):
-        est.predict_one(Q[0])

@@ -406,17 +406,14 @@ def test_serve_bad_knobs_exit_with_clean_error(capsys):
 
 
 def test_serve_processes_flag_validation(capsys):
-    # Sharding is a socket-tier feature: stdio mode is one process by
-    # definition, and a zero fleet is a config error either way.
-    rc = main(["serve", "--sketch", GOLDEN_SKETCH, "--processes", "2"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--listen" in err and "Traceback" not in err
-    rc = main(["serve", "--sketch", GOLDEN_SKETCH, "--listen", "127.0.0.1:0",
-               "--processes", "0"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--processes" in err and "Traceback" not in err
+    # `repro serve` is one process and takes no sharding flags: argparse
+    # rejects them as a usage error.
+    for extra in (["--processes", "2"], ["--no-shared-weights"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--sketch", GOLDEN_SKETCH, "--listen", "127.0.0.1:0", *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and extra[0] in err
 
 
 def test_truncated_sketch_exits_with_clean_error(tmp_path, capsys):
@@ -562,19 +559,22 @@ def test_importing_the_cli_loads_no_experiment_stack():
     """``repro serve`` boots through ``repro.cli``: building the parser and
     parsing a serve command line must not import the eval runner, the
     baselines or the data registry (each boot without bytecode caching
-    compiles every module it imports)."""
+    compiles every module it imports). The serving modules a boot then
+    imports run in one process and must not pull in ``multiprocessing``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys, repro.cli\n"
         "repro.cli.build_parser().parse_args(['serve', '--sketch', 'x.npz'])\n"
         "print(sorted(m for m in sys.modules if m.startswith("
         "('repro.eval', 'repro.baselines', 'repro.data'))))\n"
+        "import repro.serve, repro.core.compiled, repro.stream.sketch\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_run_help_lists_the_estimator_registry(capsys):

@@ -77,8 +77,6 @@ def test_config_rejects_unknowns():
         ExperimentConfig(sample_frac=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(epochs=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(service_processes=(2, 0))
 
 
 def test_estimator_aliases_resolve():
@@ -282,32 +280,6 @@ def test_service_block_serializes_into_bench_json(tiny_result, tmp_path):
     assert ns["service"]["parity_max_abs_diff"] == 0.0
     uniform = next(e for e in payload["estimators"] if e["name"] == "uniform")
     assert uniform["service"] is None
-
-
-def test_service_concurrent_block_measures_a_live_server(tiny_result):
-    conc = tiny_result.estimator("neurosketch").service["concurrent"]
-    assert conc["n_clients"] >= 8
-    assert conc["protocol_version"] == 1
-    # The acceptance bar: concurrent clients over the socket answer
-    # float-exactly per dtype tier (each client's batch is the engine's
-    # whole flush, so gemm composition matches the local predict).
-    assert conc["parity_max_abs_diff"] == {"float32": 0.0, "float64": 0.0}
-    assert conc["sustained_qps"] > 0.0 and conc["closed_loop_qps"] > 0.0
-    assert conc["sustained_total_queries"] >= conc["n_clients"]
-    assert 0.0 < conc["p50_latency_s"] <= conc["p99_latency_s"]
-    assert 1 <= conc["replicas"] <= conc["max_replicas"]
-
-
-def test_service_concurrent_block_records_process_scaling(tiny_result):
-    """The sharding-router curve: one point per worker process count, each
-    with throughput and wire parity pinned per tier across the router."""
-    conc = tiny_result.estimator("neurosketch").service["concurrent"]
-    scaling = conc["scaling"]
-    # The fast profile keeps the curve but caps the fleet at 2 processes.
-    assert [point["processes"] for point in scaling] == [1, 2]
-    for point in scaling:
-        assert point["sustained_qps"] > 0.0
-        assert point["parity_max_abs_diff"] == {"float32": 0.0, "float64": 0.0}
 
 
 def test_runner_records_build_backend_comparison(tiny_result):

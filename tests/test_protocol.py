@@ -22,7 +22,6 @@ from repro.serve.protocol import (
     decode_request,
     decode_response,
     encode,
-    is_ingest_frame,
 )
 
 # ----------------------------------------------------------- round-trip laws
@@ -304,16 +303,3 @@ def test_malformed_ingest_requests_are_bad_requests(line):
 def test_malformed_ingest_epoch_responses_raise(line):
     with pytest.raises(ProtocolError):
         decode_response(line)
-
-
-def test_is_ingest_frame_cheap_classifier():
-    ingest = encode(IngestRequest(rows=((1.0, 2.0),))).encode("utf-8")
-    assert is_ingest_frame(ingest)
-    query = encode(QueryRequest(q=(1.0, 2.0))).encode("utf-8")
-    assert not is_ingest_frame(query)
-    # A query *naming a sketch* that contains the substring must not parse
-    # as ingest; invalid JSON answers False and takes the normal path.
-    tricky = b'{"v":1,"op":"query","q":[1.0],"sketch":"ingest"}'
-    assert not is_ingest_frame(tricky)
-    assert not is_ingest_frame(b'{"op": "ingest", broken json')
-    assert not is_ingest_frame(b'["ingest"]')

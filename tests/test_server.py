@@ -202,6 +202,29 @@ def test_oversized_line_yields_error_and_connection_survives():
         svc.close()
 
 
+def test_oversized_frame_pipelined_ahead_of_a_query_is_answered_first():
+    """A rejected frame answers in place: the query pipelined behind it on
+    the same connection still gets its own reply, after the error."""
+    svc = SketchService(cache=False)
+    svc.register("sum", SumSketch())
+    handle = start_server_thread(svc, max_line_bytes=512)
+    try:
+        with Client.connect(handle.address) as client:
+            q = ", ".join(["1.0"] * 200)  # ~1 KiB frame against a 512-byte bound
+            client._require_open().sendall(
+                f'{{"v":1,"op":"query","q":[{q}],"id":"big"}}\n'
+                '{"v":1,"op":"query","q":[2.0],"id":"ok"}\n'.encode()
+            )
+            with pytest.raises(ServerError) as excinfo:
+                client._read_response()
+            assert excinfo.value.code == "oversized"
+            second = read_replies(client, 1)
+            assert second["ok"].answer == 2.0
+    finally:
+        handle.stop()
+        svc.close()
+
+
 def test_slow_sketch_times_out_with_structured_error():
     svc = SketchService(cache=False, max_delay_s=1e-3)
     svc.register("slow", SlowSketch(delay_s=2.0))
@@ -635,13 +658,28 @@ def test_server_ingest_over_socket_matches_in_process_twin(tmp_path):
             with Client.connect(handle.address) as writer:
                 summary = writer.ingest(rows=rows)
             assert summary["swapped"] and summary["epoch"] == 1
-            twin.append(rows)
+            # The wire summary is the in-process IngestResult plus the
+            # serving layer's eviction count (0: the cache is off) and the
+            # stage timings, which differ from run to run.
+            assert summary.pop("cache_evictions") == 0
+            assert set(summary.pop("stages")) == {"apply_s", "retrain_s", "invalidate_s"}
+            assert summary == twin.append(rows).to_dict()
             after = np.asarray(reader.ask_many(Q), dtype=np.float64)
             assert after.tobytes() == np.asarray(twin.predict(Q)).tobytes()
             assert not np.array_equal(after, before)
             assert reader.epoch() == (1, 1)
             stats = reader.stats()
             assert stats["mutable"] is True and stats["stream"]["epoch"] == 1
+
+            box = (np.array([0.0, 0.0]), np.array([2.0, 20.0]))
+            with Client.connect(handle.address) as writer:
+                summary = writer.ingest(delete=box)
+            summary.pop("cache_evictions")
+            summary.pop("stages")
+            assert summary == twin.delete(*box).to_dict()
+            assert reader.epoch() == (twin.epoch, twin.data_version)
+            got = np.asarray(reader.ask_many(Q), dtype=np.float64)
+            assert got.tobytes() == np.asarray(twin.predict(Q)).tobytes()
     finally:
         handle.stop()
         svc.close()

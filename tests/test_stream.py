@@ -454,8 +454,8 @@ def test_hot_swap_is_atomic_under_concurrent_predicts(tmp_path):
 
 def test_npz_roundtrip_then_ingest_is_bit_exact(tmp_path):
     """save -> load -> ingest -> hot-swap lands on byte-identical state to
-    the in-process sketch given the same updates (the property the sharded
-    router's ingest replay depends on)."""
+    the in-process sketch given the same updates (the property that lets an
+    offline `repro ingest --sketch` rewrite and a live server agree)."""
     sketch = small_sketch()
     sketch.append(rows_near(sketch, np.array([0.3, 0.3]), k=6))  # pre-save epoch
     path = str(tmp_path / "bundle.npz")
